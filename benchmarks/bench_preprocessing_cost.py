@@ -16,6 +16,13 @@ from conftest import small_graphormer_config
 
 
 def _run():
+    """Rows of (dataset, preprocessing s, training s, largest share allowed).
+
+    The bounds are what the bit-parallel SPD kernel reaches plus headroom:
+    0.7–1.4% measured on the arxiv-like run (3.4–3.6% before it, paper
+    5.4%) and 12.5–13% on the malnet-like one (15–18% before), where the
+    Laplacian eigensolve of twelve graphs over ten epochs now dominates.
+    """
     rows = []
     # node-level: arxiv-like
     ds = load_node_dataset("ogbn-arxiv", scale=0.4, seed=0)
@@ -24,7 +31,7 @@ def _run():
     rec = train_node_classification(Graphormer(cfg, seed=0), ds, eng,
                                     epochs=25, lr=3e-3)
     rows.append(("ogbn-arxiv-like", rec.preprocess_seconds,
-                 float(sum(rec.epoch_times))))
+                 float(sum(rec.epoch_times)), 0.05))
     # graph-level: malnet-like
     gds = load_graph_dataset("malnet", scale=0.15, seed=0)
     eng = make_engine("torchgt", num_layers=3, hidden_dim=32,
@@ -36,7 +43,7 @@ def _run():
     # enough epochs here that the amortisation effect is visible.
     rec = train_graph_task(Graphormer(cfg, seed=0), gds, eng, epochs=10, lr=3e-3)
     rows.append(("malnet-like", rec.preprocess_seconds,
-                 float(sum(rec.epoch_times))))
+                 float(sum(rec.epoch_times)), 0.20))
     return rows
 
 
@@ -45,11 +52,11 @@ def test_preprocessing_cost_fraction(benchmark, save_report):
     report = TableReport(
         title="§IV-E — preprocessing cost vs training time (measured)",
         columns=["dataset", "preprocessing", "training", "preproc share"])
-    for name, pre, train in rows:
+    for name, pre, train, _ in rows:
         share = pre / (pre + train)
         report.add_row(name, fmt_time(pre), fmt_time(train),
                        f"{share * 100:.1f}%")
     report.add_note("paper: 5.4% on ogbn-arxiv, 2.0% on MalNet")
     save_report("preprocessing", report)
-    for name, pre, train in rows:
-        assert pre / (pre + train) < 0.30  # preprocessing stays minor
+    for name, pre, train, bound in rows:
+        assert pre / (pre + train) < bound, name  # preprocessing stays minor

@@ -35,13 +35,13 @@ from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..graph import dataset_fingerprint, load_graph_dataset, load_node_dataset
 from ..models import build_model
-from ..models.encodings import compute_encodings
 from ..tensor import no_grad, precision_scope
 from ..train import (
     Callback,
     TrainingRecord,
     batched_node_predictions,
     planned_forward,
+    prepare_inputs,
     train_graph_task,
     train_node_classification,
     train_node_classification_batched,
@@ -432,8 +432,8 @@ class Session:
                         and self._infer_cache[1] == version):
                     _, _, ctx, enc = self._infer_cache
                 else:
-                    ctx = engine.prepare_inference(ds.graph)
-                    enc = compute_encodings(ctx.graph, lap_pe_dim=t.lap_pe_dim)
+                    ctx, enc = prepare_inputs(engine, ds.graph, t.lap_pe_dim,
+                                              train=False)
                     self._stamp_context(ctx)
                     if not self._fitting:
                         self._infer_cache = (ds_key, version, ctx, enc)
@@ -452,8 +452,8 @@ class Session:
                     ctx, enc = entry[0], entry[1]
                 else:
                     graph, _ = ds.graph.subgraph(sorted_nodes)
-                    ctx = engine.prepare_inference(graph)
-                    enc = compute_encodings(ctx.graph, lap_pe_dim=t.lap_pe_dim)
+                    ctx, enc = prepare_inputs(engine, graph, t.lap_pe_dim,
+                                              train=False)
                 feats = ds.features[sorted_nodes]
             inv = ctx.node_permutation_inverse()
             model.eval()
@@ -515,8 +515,8 @@ class Session:
         model.eval()
         with precision_scope(engine.precision), no_grad():
             for i in idx:
-                ctx = engine.prepare_inference(ds.graphs[i])
-                enc = compute_encodings(ctx.graph, lap_pe_dim=t.lap_pe_dim)
+                ctx, enc = prepare_inputs(engine, ds.graphs[i], t.lap_pe_dim,
+                                          train=False)
                 feats = ds.features[i]
                 inv = ctx.node_permutation_inverse()
                 if inv is not None:

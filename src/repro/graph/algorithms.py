@@ -9,7 +9,6 @@ and assorted statistics (sparsity, clustering) used by the Auto Tuner.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
 from .csr import CSRGraph
@@ -56,18 +55,16 @@ def bfs_distances(g: CSRGraph, source: int, max_depth: int | None = None) -> np.
     while len(frontier):
         if max_depth is not None and depth >= max_depth:
             break
-        # gather all neighbors of the frontier in one vectorized pass
-        starts, ends = g.indptr[frontier], g.indptr[frontier + 1]
-        total = int((ends - starts).sum())
+        # gather all neighbors of the frontier in one vectorized pass:
+        # slot i of the output reads its list's start plus its rank in it
+        starts = g.indptr[frontier]
+        counts = g.indptr[frontier + 1] - starts
+        total = int(counts.sum())
         if total == 0:
             break
-        nbrs = np.empty(total, dtype=np.int64)
-        pos = 0
-        for s, e in zip(starts, ends):
-            cnt = e - s
-            nbrs[pos:pos + cnt] = g.indices[s:e]
-            pos += cnt
-        nbrs = np.unique(nbrs)
+        first = np.cumsum(counts) - counts
+        nbrs = np.unique(
+            g.indices[np.repeat(starts - first, counts) + np.arange(total)])
         new = nbrs[dist[nbrs] < 0]
         if len(new) == 0:
             break
@@ -82,22 +79,34 @@ def truncated_spd_matrix(g: CSRGraph, max_dist: int) -> np.ndarray:
 
     Unreachable pairs and pairs farther than ``max_dist`` get the sentinel
     ``max_dist + 1`` — the "far" bucket of Graphormer's learnable SPD bias
-    table.  Computed by repeated boolean sparse matmul (one matmul per hop),
-    so cost is O(max_dist · nnz) rather than N² BFS runs.
+    table.  Bit-parallel BFS from every source at once: row ``s`` of
+    ``reach`` is the packed set of nodes within ``d`` hops of ``s``, and one
+    hop ORs in the rows of ``s``'s out-neighbours (``within d+1 of s`` =
+    ``s`` ∪ ``within d of a neighbour``) — one CSR gather and one
+    ``bitwise_or.reduceat`` per hop, O(max_dist · E · N/64) word operations
+    on an N²/8-byte working set.
     """
     n = g.num_nodes
-    adj = g.to_scipy().astype(bool)
     spd = np.full((n, n), max_dist + 1, dtype=np.int16)
-    np.fill_diagonal(spd, 0)
-    reach = sp.identity(n, dtype=bool, format="csr")
-    seen = reach.toarray()
-    for d in range(1, max_dist + 1):
-        reach = (reach @ adj).astype(bool)
-        newly = reach.toarray() & ~seen
-        spd[newly] = d
-        seen |= newly
-        if seen.all():
+    ids = np.arange(n)
+    reach = np.zeros((n, -(-n // 64) * 8), dtype=np.uint8)  # rows of 64-bit words
+    reach[ids, ids >> 3] = 128 >> (ids & 7)  # packbits order: first node = MSB
+    reach = reach.view(np.uint64)
+    src = np.flatnonzero(np.diff(g.indptr))  # reduceat needs non-empty lists
+    starts = g.indptr[src]
+    # a pair at distance k is inside the ball at hops k..max_dist, so
+    # subtracting every hop's ball from max_dist + 1 leaves exactly k
+    for d in range(max_dist + 1):
+        ball = np.unpackbits(reach.view(np.uint8), axis=1, count=n)
+        grown = reach.copy()
+        if len(src) and d < max_dist:
+            grown[src] |= np.bitwise_or.reduceat(reach[g.indices], starts, axis=0)
+        if np.array_equal(grown, reach):
+            # nothing new (or the last hop): hops d..max_dist all see this ball
+            spd -= ball * np.int16(max_dist + 1 - d)
             break
+        spd -= ball
+        reach = grown
     return spd
 
 
@@ -125,12 +134,7 @@ def dirac_hamiltonian_check(g: CSRGraph) -> bool:
     n = g.num_nodes
     if n < 3:
         return False
-    deg = g.degrees().astype(np.int64).copy()
-    # discount self-loops
-    for v in range(n):
-        if g.has_edge(v, v):
-            deg[v] -= 1
-    return bool(deg.min() >= (n + 1) // 2)
+    return bool((g.degrees() - g.self_loop_counts()).min() >= (n + 1) // 2)
 
 
 def ore_hamiltonian_check(g: CSRGraph) -> bool:
@@ -171,13 +175,9 @@ def has_hamiltonian_heuristic(g: CSRGraph, strict: bool = False) -> bool:
         return False
     if not is_connected(g):
         return False
-    # degrees excluding self-loops (a self-loop never extends a path)
-    deg = g.degrees().astype(np.int64).copy()
-    src = np.repeat(np.arange(g.num_nodes, dtype=np.int64), g.degrees())
-    loops = np.bincount(src[src == g.indices], minlength=g.num_nodes)
-    deg -= loops
-    # a traceable graph has at most 2 degree-1 endpoints
-    return int((deg <= 1).sum()) <= 2
+    # a traceable graph has at most 2 degree-1 endpoints; a self-loop never
+    # extends a path, so it does not count towards the degree
+    return int((g.degrees() - g.self_loop_counts() <= 1).sum()) <= 2
 
 
 def reachable_within_l_hops(g: CSRGraph, num_layers: int) -> bool:
@@ -185,9 +185,9 @@ def reachable_within_l_hops(g: CSRGraph, num_layers: int) -> bool:
 
     After L attention layers over a sparse pattern, information propagates
     L hops; the condition holds iff the graph is connected and its diameter
-    is ≤ L.  We check exactly via BFS from an eccentric node when the graph
-    is small, otherwise use the double-sweep lower bound to reject early
-    and a full sweep from the worst seed to confirm.
+    is ≤ L.  The double-sweep lower bound rejects early; small graphs are
+    then checked exactly with the all-pairs kernel, large ones accepted on
+    the strength of the sampled bound.
     """
     if g.num_nodes <= 1:
         return True
@@ -198,11 +198,8 @@ def reachable_within_l_hops(g: CSRGraph, num_layers: int) -> bool:
     if lb > num_layers:
         return False
     if g.num_nodes <= 2048:
-        # exact: eccentricity of every node
-        for s in range(g.num_nodes):
-            if bfs_distances(g, s, max_depth=num_layers + 1).max() > num_layers:
-                return False
-        return True
+        # exact: no pair lands in the far bucket beyond num_layers hops
+        return bool(truncated_spd_matrix(g, num_layers).max() <= num_layers)
     # large graphs: accept on the strength of the sampled bound
     return True
 

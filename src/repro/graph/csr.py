@@ -109,12 +109,14 @@ class CSRGraph:
         pos = np.searchsorted(nbrs, v)
         return bool(pos < len(nbrs) and nbrs[pos] == v)
 
+    def self_loop_counts(self) -> np.ndarray:
+        """Self-loop entries per node (0 or 1: duplicate entries are merged)."""
+        src = np.repeat(np.arange(self.num_nodes), self.degrees())
+        return np.bincount(src[src == self.indices], minlength=self.num_nodes)
+
     def has_all_self_loops(self) -> bool:
         """Whether every node has a self-loop (condition C1)."""
-        for v in range(self.num_nodes):
-            if not self.has_edge(v, v):
-                return False
-        return True
+        return bool(self.self_loop_counts().all())
 
     def sparsity(self) -> float:
         """Proportion of nonzero entries in the N×N adjacency (β_G)."""

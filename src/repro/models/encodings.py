@@ -63,8 +63,9 @@ def compute_encodings(
 
     ``with_spd`` and the ``spd_node_limit`` guard the O(N²) SPD matrix:
     above the limit the dense matrix is skipped and sparse patterns fall
-    back to structural bucketing (edge=1/self=0), which is exact for
-    topology patterns anyway.
+    back to structural bucketing (edge=1/self=0).  That is exact for a
+    pure topology pattern only: an ECR-reformed pattern also holds
+    non-edges, which then get bucket 1 instead of their true distance.
     """
     deg = np.minimum(g.degrees(), max_degree - 1).astype(np.int64)
     spd = None

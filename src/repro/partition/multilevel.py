@@ -177,17 +177,16 @@ def _fm_refine(g: _WGraph, side: np.ndarray, max_passes: int = 4,
         boundary = np.unique(src[crossing])
         if len(boundary) == 0:
             break
-        gains = np.array([ext_int(int(v)) for v in boundary])
-        order = boundary[np.argsort(-gains)]
+        # every node's gain in one pass: crossing weight minus internal
+        # (edge weights are whole numbers, so the sums are exact in any order)
+        gains = np.bincount(src, np.where(crossing, g.ewgt, -g.ewgt), g.n)
+        order = boundary[np.argsort(-gains[boundary])]
 
         moved: list[int] = []
         cum_gain = 0.0
         best_gain, best_len = 0.0, 0
-        locked = np.zeros(g.n, dtype=bool)
-        for v in order:
+        for v in order:  # boundary nodes are distinct: each moves at most once
             v = int(v)
-            if locked[v]:
-                continue
             frm = side[v]
             to = 1 - frm
             if part_w[to] + g.vwgt[v] > limit:
@@ -196,7 +195,6 @@ def _fm_refine(g: _WGraph, side: np.ndarray, max_passes: int = 4,
             side[v] = to
             part_w[frm] -= g.vwgt[v]
             part_w[to] += g.vwgt[v]
-            locked[v] = True
             moved.append(v)
             cum_gain += gain
             if cum_gain > best_gain:

@@ -10,6 +10,7 @@ from .callbacks import (
 from .trainer import (
     TrainingRecord,
     planned_forward,
+    prepare_inputs,
     seed_stochastic_modules,
     train_graph_task,
     train_node_classification,
@@ -29,6 +30,7 @@ __all__ = [
     "EpochLogger",
     "TrainingRecord",
     "planned_forward",
+    "prepare_inputs",
     "seed_stochastic_modules",
     "train_node_classification",
     "train_graph_task",

@@ -23,13 +23,13 @@ import numpy as np
 
 from ..core.engine import Engine
 from ..graph.datasets import NodeDataset
-from ..models.encodings import compute_encodings
 from ..tensor import AdamW, clip_grad_norm, no_grad, precision_scope
 from ..tensor import functional as F
 from .callbacks import Callback, EarlyStoppingCallback, as_callback_list
 from .checkpointing import load_checkpoint, save_checkpoint
 from .metrics import accuracy
-from .trainer import TrainingRecord, planned_forward, seed_stochastic_modules
+from .trainer import (TrainingRecord, planned_forward, prepare_inputs,
+                      seed_stochastic_modules)
 
 __all__ = ["batched_node_predictions", "train_node_classification_batched"]
 
@@ -55,8 +55,7 @@ def batched_node_predictions(model, dataset: NodeDataset, engine: Engine,
     with no_grad():
         for nodes in _batches(dataset.num_nodes, seq_len, rng, min_batch=1):
             sub, _ = dataset.graph.subgraph(nodes)
-            ctx = engine.prepare_inference(sub)
-            enc = compute_encodings(ctx.graph, lap_pe_dim=lap_pe_dim)
+            ctx, enc = prepare_inputs(engine, sub, lap_pe_dim, train=False)
             feats = dataset.features[nodes]
             inv = ctx.node_permutation_inverse()
             batch_to_orig = nodes[inv] if inv is not None else nodes
@@ -128,10 +127,8 @@ def train_node_classification_batched(
                 if (labels != -1).sum() == 0:
                     continue
                 sub, _ = dataset.graph.subgraph(nodes)
-                p0 = time.perf_counter()
-                ctx = engine.prepare_graph(sub)
-                enc = compute_encodings(ctx.graph, lap_pe_dim=lap_pe_dim)
-                record.preprocess_seconds += time.perf_counter() - p0
+                ctx, enc = prepare_inputs(engine, sub, lap_pe_dim, train=True)
+                record.preprocess_seconds += ctx.preprocess_seconds
                 feats = dataset.features[nodes]
                 inv = ctx.node_permutation_inverse()
                 if inv is not None:

@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.engine import Engine, SequenceContext
+from ..graph.csr import CSRGraph
 from ..graph.datasets import GraphDataset, NodeDataset
 from ..models.encodings import GraphEncodings, compute_encodings
 from ..tensor import AdamW, Dropout, clip_grad_norm, precision_scope
@@ -23,8 +24,9 @@ from .callbacks import Callback, EarlyStoppingCallback, as_callback_list
 from .checkpointing import load_checkpoint, save_checkpoint
 from .metrics import accuracy, mae
 
-__all__ = ["TrainingRecord", "planned_forward", "seed_stochastic_modules",
-           "train_node_classification", "train_graph_task"]
+__all__ = ["TrainingRecord", "planned_forward", "prepare_inputs",
+           "seed_stochastic_modules", "train_node_classification",
+           "train_graph_task"]
 
 
 @dataclass
@@ -96,22 +98,18 @@ def planned_forward(model, engine: Engine, ctx: SequenceContext,
                  use_bias=plan.use_bias)
 
 
-def _prepare_node_inputs(dataset: NodeDataset, engine: Engine,
-                         lap_pe_dim: int) -> tuple[SequenceContext, GraphEncodings,
-                                                   np.ndarray, np.ndarray,
-                                                   np.ndarray, np.ndarray, np.ndarray]:
-    """Run engine preprocessing and carry node arrays through reordering."""
-    ctx = engine.prepare_graph(dataset.graph)
-    feats, labels = dataset.features, dataset.labels
-    train_m, val_m, test_m = dataset.train_mask, dataset.val_mask, dataset.test_mask
-    inv = ctx.node_permutation_inverse()
-    if inv is not None:
-        feats, labels = feats[inv], labels[inv]
-        train_m, val_m, test_m = train_m[inv], val_m[inv], test_m[inv]
+def prepare_inputs(engine: Engine, g: CSRGraph, lap_pe_dim: int,
+                   train: bool) -> tuple[SequenceContext, GraphEncodings]:
+    """Engine preprocessing plus structural encodings — the one prepare site.
+
+    ``train`` picks ``prepare_graph`` (may advance tuner state) or the memoised
+    ``prepare_inference``; ``ctx.preprocess_seconds`` gains the encoding time.
+    """
+    ctx = engine.prepare_graph(g) if train else engine.prepare_inference(g)
     t0 = time.perf_counter()
     enc = compute_encodings(ctx.graph, lap_pe_dim=lap_pe_dim)
     ctx.preprocess_seconds += time.perf_counter() - t0
-    return ctx, enc, feats, labels, train_m, val_m, test_m
+    return ctx, enc
 
 
 def train_node_classification(
@@ -149,8 +147,13 @@ def train_node_classification(
     """
     seed_stochastic_modules(model, seed)
     with precision_scope(engine.precision):
-        ctx, enc, feats, labels, train_m, val_m, test_m = _prepare_node_inputs(
-            dataset, engine, lap_pe_dim)
+        ctx, enc = prepare_inputs(engine, dataset.graph, lap_pe_dim, train=True)
+        feats, labels = dataset.features, dataset.labels
+        train_m, val_m, test_m = dataset.train_mask, dataset.val_mask, dataset.test_mask
+        inv = ctx.node_permutation_inverse()
+        if inv is not None:  # carry the node arrays through the reordering
+            feats, labels = feats[inv], labels[inv]
+            train_m, val_m, test_m = train_m[inv], val_m[inv], test_m[inv]
         record = TrainingRecord(engine=engine.name, dataset=dataset.name,
                                 preprocess_seconds=ctx.preprocess_seconds)
         opt = AdamW(model.parameters(), lr=lr, weight_decay=weight_decay)
@@ -235,10 +238,8 @@ def train_graph_task(
         encodings: list[GraphEncodings] = []
         preproc = 0.0
         for g in dataset.graphs:
-            ctx = engine.prepare_graph(g)
-            t0 = time.perf_counter()
-            enc = compute_encodings(ctx.graph, lap_pe_dim=lap_pe_dim)
-            preproc += time.perf_counter() - t0 + ctx.preprocess_seconds
+            ctx, enc = prepare_inputs(engine, g, lap_pe_dim, train=True)
+            preproc += ctx.preprocess_seconds
             contexts.append(ctx)
             encodings.append(enc)
 

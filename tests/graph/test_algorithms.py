@@ -25,6 +25,7 @@ from repro.graph import (
     star_graph,
     truncated_spd_matrix,
 )
+from tests.helpers import spd_oracle
 
 
 def to_nx(g: CSRGraph) -> nx.Graph:
@@ -62,6 +63,17 @@ class TestBFS:
         d = bfs_distances(path_graph(10), 0, max_depth=3)
         assert d[3] == 3 and d[4] == -1
 
+    def test_directed_matches_networkx(self, rng):
+        edges = rng.integers(0, 50, size=(90, 2))
+        g = CSRGraph.from_edges(50, edges, symmetrize=False)
+        G = nx.DiGraph()
+        G.add_nodes_from(range(50))
+        G.add_edges_from(map(tuple, edges))
+        for depth in (None, 2):
+            theirs = nx.single_source_shortest_path_length(G, 3, cutoff=depth)
+            want = [theirs.get(v, -1) for v in range(50)]
+            np.testing.assert_array_equal(bfs_distances(g, 3, depth), want)
+
     def test_matches_networkx(self, rng):
         g = erdos_renyi(60, 0.08, rng)
         ours = bfs_distances(g, 0)
@@ -96,6 +108,36 @@ class TestTruncatedSPD:
         spd = truncated_spd_matrix(star_graph(6), 3)
         assert spd[1, 2] == 2 and spd[0, 3] == 1
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny_graphs(self, n):
+        edges = [[0, 1]] if n == 2 else np.empty((0, 2))
+        spd = truncated_spd_matrix(CSRGraph.from_edges(n, edges), 8)
+        assert spd.dtype == np.int16 and spd.shape == (n, n)
+        np.testing.assert_array_equal(spd, 1 - np.eye(n, dtype=np.int16))
+
+    def test_directed_edges_give_directed_distances(self):
+        # 0 -> 1 -> 2 and nothing back: row s holds distances *from* s
+        g = CSRGraph.from_edges(3, [[0, 1], [1, 2]], symmetrize=False)
+        np.testing.assert_array_equal(
+            truncated_spd_matrix(g, 2), [[0, 1, 2], [3, 0, 1], [3, 3, 0]])
+
+    def test_truncates_into_far_bucket(self):
+        spd = truncated_spd_matrix(path_graph(6), 2)
+        np.testing.assert_array_equal(spd[0], [0, 1, 2, 3, 3, 3])
+
+    @pytest.mark.parametrize("n", [7, 63, 64, 65, 130])
+    @pytest.mark.parametrize("max_dist", [1, 2, 8])
+    def test_word_boundaries_components_loops_isolated(self, rng, n, max_dist):
+        # sizes either side of the 8- and 64-bit packing boundaries; sparse
+        # enough for several components and isolated nodes, plus self-loops
+        edges = rng.integers(0, n, size=(n, 2))
+        edges = np.concatenate([edges, [[0, 0], [n - 1, n - 1]]])
+        for symmetrize in (True, False):
+            g = CSRGraph.from_edges(n, edges, symmetrize=symmetrize)
+            spd = truncated_spd_matrix(g, max_dist)
+            assert spd.dtype == np.int16 and spd.shape == (n, n)
+            np.testing.assert_array_equal(spd, spd_oracle(g, max_dist))
+
 
 class TestDiameterBound:
     def test_path_exact(self, rng):
@@ -123,6 +165,17 @@ class TestHamiltonianChecks:
         g = CSRGraph.from_edges(4, [[0, 1], [1, 2], [2, 3], [3, 0]],
                                 add_self_loops=True)
         assert dirac_hamiltonian_check(g)  # 2 >= 2 holds for n=4
+
+    def test_self_loops_never_change_either_check(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(3, 12))
+            edges = rng.integers(0, n, size=(int(rng.integers(n, 4 * n)), 2))
+            edges = edges[edges[:, 0] != edges[:, 1]]
+            bare = CSRGraph.from_edges(n, edges)
+            looped = CSRGraph.from_edges(n, edges, add_self_loops=True)
+            assert dirac_hamiltonian_check(looped) == dirac_hamiltonian_check(bare)
+            assert (has_hamiltonian_heuristic(looped)
+                    == has_hamiltonian_heuristic(bare))
 
     def test_ore_complete_bipartite_balanced(self):
         # K_{3,3} satisfies Ore (deg sums = 6 = n for non-adjacent pairs)

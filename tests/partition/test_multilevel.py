@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.graph import CSRGraph, dc_sbm, erdos_renyi, grid_graph, path_graph, ring_of_cliques
-from repro.partition import balance_ratio, edge_cut, partition
+from repro.graph import (CSRGraph, barabasi_albert, dc_sbm, erdos_renyi, grid_graph,
+                         load_node_dataset, path_graph, ring_of_cliques)
+from repro.partition import balance_ratio, cluster_reorder, edge_cut, partition
+from tests.helpers import array_sha256
 
 
 class TestEdgeCut:
@@ -112,3 +114,34 @@ class TestPartition:
         cut_sbm = partition(g_sbm, 4).edge_cut / max(g_sbm.num_edges / 2, 1)
         cut_er = partition(g_er, 4).edge_cut / max(g_er.num_edges / 2, 1)
         assert cut_sbm < cut_er
+
+
+class TestPinnedLabels:
+    """sha256 of ``partition(...).labels`` and ``cluster_reorder(...).perm``,
+    taken on commit 6efde15 — before FM's initial gains were vectorised.
+    The refinement is only allowed to get faster: one moved node changes
+    every downstream pattern, logit and loss digest."""
+
+    GRAPHS = {
+        "arxiv-0.25": (lambda: load_node_dataset("ogbn-arxiv", scale=0.25, seed=0).graph, 18,
+                       "0dc8c72163347faea4f60365d2f76902217da20190c2a018aa9009974ef716f2",
+                       "715637f7bf0c5a27aa51d4f8a3a3dbf3fb87d1368e46dc650af527b9fa0819ff"),
+        "arxiv-1.0": (lambda: load_node_dataset("ogbn-arxiv", scale=1.0, seed=0).graph, 75,
+                      "8cc728632450aa328904945883cacb5ca73935604f04d3d3420b4ce82c0cdf06",
+                      "e309a9b71b0e383242baa23011b0619e046e6afc9519325db80df5e82d07377c"),
+        "dc_sbm-600": (lambda: dc_sbm(600, 8, 12.0, np.random.default_rng(7))[0], 8,
+                       "61663737ae674908ea9fcb7b69169ba11dc502d94a05ae747ad62acbdac66e0a",
+                       "e1f86bf2422ec34dbd94cbdea80deba9dec87d6bdae1207b94a8fcd53a9c62d8"),
+        "ba-500": (lambda: barabasi_albert(500, 3, np.random.default_rng(11)), 5,
+                   "a3ff04d664f510087c8d61a9ca469876330c316b45ecb4bfb0c273fcc0b1441f",
+                   "2f8b1ab8297fd6e7eb73fb0e9876af4f7b887d85a8f55c61c8e3f0d5dd9ba300"),
+    }
+
+    @pytest.mark.parametrize("name", list(GRAPHS))
+    def test_labels_and_permutation_unchanged(self, name):
+        build, k, labels_sha, perm_sha = self.GRAPHS[name]
+        g = build()
+        res = partition(g, k, seed=0)
+        assert array_sha256(res.labels, np.int64) == labels_sha
+        perm = cluster_reorder(g, k, seed=0, precomputed=res).perm
+        assert array_sha256(perm, np.int64) == perm_sha

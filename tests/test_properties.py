@@ -7,11 +7,12 @@ from hypothesis.extra.numpy import arrays
 
 from repro.attention import AttentionPattern
 from repro.attention.sparse import segment_softmax
-from repro.graph import CSRGraph
+from repro.graph import CSRGraph, truncated_spd_matrix
 from repro.partition import balance_ratio, edge_cut, partition
 from repro.tensor import Tensor, quantize_bf16
 from repro.tensor import functional as F
 from repro.tensor.tensor import unbroadcast
+from tests.helpers import spd_oracle
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False, width=32)
@@ -151,6 +152,21 @@ class TestGraphProperties:
         perm = np.random.default_rng(data.draw(st.integers(0, 100))).permutation(n)
         g2 = g.permute(perm)
         np.testing.assert_array_equal(np.sort(g.degrees()), np.sort(g2.degrees()))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_truncated_spd_equals_per_source_bfs(self, data):
+        # n straddles the 8- and 64-bit packing boundaries; few edges leave
+        # isolated nodes and several components, (v, v) draws are self-loops
+        n = data.draw(st.sampled_from([0, 1, 2, 5, 8, 9, 31, 64, 70]))
+        m = data.draw(st.integers(0, 2 * n))
+        edges = data.draw(arrays(np.int64, (m, 2),
+                                 elements=st.integers(0, max(n - 1, 0))))
+        g = CSRGraph.from_edges(n, edges, symmetrize=data.draw(st.booleans()))
+        max_dist = data.draw(st.sampled_from([1, 2, 8]))
+        spd = truncated_spd_matrix(g, max_dist)
+        assert spd.dtype == np.int16 and spd.shape == (n, n)
+        np.testing.assert_array_equal(spd, spd_oracle(g, max_dist))
 
 
 class TestPartitionProperties:
