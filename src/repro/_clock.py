@@ -18,9 +18,8 @@ latency accounting *and* trace span durations advance together,
 deterministically.  Scheduling sleeps (``Event.wait`` timeouts) stay on
 the real clock — only *measurements and comparisons* go through here.
 
-The module lives at the package root (historically
-``repro.serve._clock``, which remains as a re-export shim) so that
-:mod:`repro.obs` can use it without importing the serving layer.
+The module lives at the package root so that :mod:`repro.obs` can use
+it without importing the serving layer.
 """
 
 from __future__ import annotations

@@ -36,12 +36,11 @@ import socket
 import threading
 import time
 import traceback
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..obs.metrics import get_registry
+from ..obs.stats import StatBlock
 from ..obs.trace import get_tracer
 from ..serve.cluster import ServingCluster
 from ..serve.queue import (
@@ -50,7 +49,6 @@ from ..serve.queue import (
     ServeError,
     ServerClosedError,
 )
-from ..serve.server import latency_summary
 from .. import _clock
 from .admission import AdmissionController, AdmissionError, QuotaExceededError
 from .protocol import (
@@ -66,92 +64,34 @@ from .protocol import (
 
 __all__ = ["NetServerStats", "NetServer"]
 
-#: One-line help strings for the registry-mirrored net counters.
-_COUNTER_HELP = {
-    "connections": "TCP connections accepted",
-    "disconnects": "connections closed, any reason",
-    "requests": "wire requests decoded",
-    "responses": "wire responses sent (ok or error)",
-    "rejected_quota": "requests rejected by a tenant's token bucket",
-    "rejected_shed": "requests shed by priority-class watermark",
-    "rejected_backpressure": "requests rejected by queue backpressure",
-    "protocol_errors": "connections dropped for malformed frames",
-    "read_timeouts": "connections dropped by the partial-frame deadline",
-}
+_BYTES = ("repro_net_bytes_total", "bytes over client sockets, by direction",
+          "direction")
 
 
-@dataclass
-class NetServerStats:
+class NetServerStats(StatBlock):
     """Socket-tier counters + wire latency for one server lifetime.
 
-    Dual-homed like :class:`~repro.serve.server.ServerStats`: fields
-    feed :meth:`snapshot`, every :meth:`bump` mirrors into the matching
-    ``repro_net_*_total`` registry counter, and the latency deque is
-    lock-guarded because clients' threads read snapshots while the
-    serving loop appends.
+    A :class:`~repro.obs.stats.StatBlock` over the ``repro_net_*_total``
+    counters and ``repro_net_bytes_total{direction=in|out}``; the
+    latency window is lock-guarded because clients' threads read
+    snapshots while the serving loop appends.
     """
 
-    connections: int = 0
-    disconnects: int = 0
-    requests: int = 0
-    responses: int = 0
-    rejected_quota: int = 0
-    rejected_shed: int = 0
-    rejected_backpressure: int = 0
-    protocol_errors: int = 0
-    read_timeouts: int = 0
-    bytes_in: int = 0
-    bytes_out: int = 0
-    latencies: deque = field(default_factory=lambda: deque(maxlen=4096))
-    _latency_lock: threading.Lock = field(default_factory=threading.Lock,
-                                          repr=False)
-
-    #: Counter fields mirrored into the metrics registry.
-    COUNTER_FIELDS = ("connections", "disconnects", "requests", "responses",
-                      "rejected_quota", "rejected_shed",
-                      "rejected_backpressure", "protocol_errors",
-                      "read_timeouts")
-
-    def __post_init__(self):
-        registry = get_registry()
-        self._obs_counters = {
-            f: registry.counter(f"repro_net_{f}_total", _COUNTER_HELP[f])
-            for f in self.COUNTER_FIELDS}
-        self._obs_bytes = registry.counter(
-            "repro_net_bytes_total", "bytes over client sockets, by direction",
-            labels=("direction",))
-        self._obs_latency = registry.histogram(
-            "repro_net_request_latency_seconds",
-            "decode-to-response latency per wire request")
-
-    def bump(self, field_name: str, n: int = 1) -> None:
-        """Increment one counter field and its registry twin together."""
-        setattr(self, field_name, getattr(self, field_name) + n)
-        self._obs_counters[field_name].inc(n)
-
-    def count_bytes(self, direction: str, n: int) -> None:
-        """Account socket traffic (``direction`` is ``in`` or ``out``)."""
-        if direction == "in":
-            self.bytes_in += n
-        else:
-            self.bytes_out += n
-        self._obs_bytes.inc(n, direction=direction)
-
-    def record_latency(self, seconds: float) -> None:
-        """Append one wire request's latency sample (thread-safe)."""
-        with self._latency_lock:
-            self.latencies.append(seconds)
-        self._obs_latency.observe(seconds)
-
-    def snapshot(self) -> dict:
-        """Plain-dict view of the net-tier counters."""
-        with self._latency_lock:
-            lat = list(self.latencies)
-        out = {f: getattr(self, f) for f in self.COUNTER_FIELDS}
-        out["bytes_in"] = self.bytes_in
-        out["bytes_out"] = self.bytes_out
-        out.update(latency_summary(lat))
-        return out
+    PREFIX = "repro_net"
+    COUNTERS = {
+        "connections": "TCP connections accepted",
+        "disconnects": "connections closed, any reason",
+        "requests": "wire requests decoded",
+        "responses": "wire responses sent (ok or error)",
+        "rejected_quota": "requests rejected by a tenant's token bucket",
+        "rejected_shed": "requests shed by priority-class watermark",
+        "rejected_backpressure": "requests rejected by queue backpressure",
+        "protocol_errors": "connections dropped for malformed frames",
+        "read_timeouts": "connections dropped by the partial-frame deadline",
+    }
+    LABELED = {"bytes_in": (*_BYTES, "in"), "bytes_out": (*_BYTES, "out")}
+    LATENCY = ("repro_net_request_latency_seconds",
+               "decode-to-response latency per wire request")
 
 
 @dataclass
@@ -283,7 +223,7 @@ class NetServer:
         payload = b"".join(chunks)
         if payload:
             conn.last_recv = now
-            self.stats.count_bytes("in", len(payload))
+            self.stats.bump("bytes_in", len(payload))
             try:
                 messages = conn.decoder.feed(payload)
             except ProtocolError as exc:
@@ -311,7 +251,7 @@ class NetServer:
                 return
             if sent <= 0:
                 break
-            self.stats.count_bytes("out", sent)
+            self.stats.bump("bytes_out", sent)
             del conn.outbuf[:sent]
         if not conn.closed:
             events = selectors.EVENT_READ

@@ -1,6 +1,6 @@
 """repro.obs — metrics, per-request tracing, and profiling hooks.
 
-The observability substrate under the serving stack, in three pieces:
+The observability substrate under the serving stack, in four pieces:
 
 * :mod:`repro.obs.metrics` — one process-global
   :class:`MetricsRegistry` of :class:`Counter` / :class:`Gauge` /
@@ -8,6 +8,11 @@ The observability substrate under the serving stack, in three pieces:
   router, pool, chunk store, compiled backend, workspace cache, comm
   log) registers its counters into, with a cross-process
   ``state_dict()`` / ``merge()`` contract for cluster-wide views;
+* :mod:`repro.obs.stats` — :class:`StatBlock`, the one counting
+  primitive: per-instance integer counters whose every ``bump`` also
+  moves the matching registry series, which each stats surface
+  (``ServerStats``, ``ClusterStats``, ``PoolStats``, …) merely declares
+  its fields over;
 * :mod:`repro.obs.trace` — :class:`Span` / :class:`Tracer` per-request
   tracing with context propagation across threads and worker processes,
   exportable as JSON-lines or Chrome ``chrome://tracing`` format;
@@ -46,6 +51,7 @@ from .metrics import (
     set_metrics_enabled,
     set_registry,
 )
+from .stats import StatBlock
 from .trace import (
     Span,
     TraceContext,
@@ -68,6 +74,7 @@ __all__ = [
     "set_registry",
     "metrics_enabled",
     "set_metrics_enabled",
+    "StatBlock",
     # tracing
     "TraceContext",
     "Span",

@@ -24,12 +24,13 @@ in-flight micro-batches (single server) or broadcasts it version-guarded
 to every worker (cluster), and every result future carries the
 ``graph_version`` it was computed at so clients can detect staleness.
 All serve-layer timestamps flow through one injectable clock source
-(:mod:`repro.serve._clock`): deadlines, heartbeat aging and latency
+(:mod:`repro._clock`): deadlines, heartbeat aging and latency
 accounting advance together, on the wall clock or a test's
 :class:`ManualClock`.
 """
 
-from ._clock import ManualClock, clock_override
+from .._clock import ManualClock, clock_override
+from ..obs.stats import latency_summary
 from .batcher import BatchPolicy, MicroBatch, MicroBatcher, seq_len_bucket
 from .cluster import ClusterStats, ServingCluster
 from .elastic import ElasticController, ElasticPolicy, ElasticStats
@@ -60,7 +61,7 @@ from .queue import (
     ServeFuture,
     ServerClosedError,
 )
-from .server import InferenceServer, ServerStats, latency_summary
+from .server import InferenceServer, ServerStats
 from .worker import (
     InlineWorker,
     ProcessWorker,

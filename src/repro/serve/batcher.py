@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Hashable
 
-from . import _clock
+from .. import _clock
 
 __all__ = ["BatchPolicy", "MicroBatch", "MicroBatcher", "seq_len_bucket"]
 

@@ -43,17 +43,17 @@ from __future__ import annotations
 import pickle
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import _clock
 from ..obs.metrics import MetricsRegistry, get_registry
+from ..obs.stats import StatBlock
 from ..obs.trace import get_tracer
 from ..obs.trace import set_tracing as _set_process_tracing
-from . import _clock
 from .batcher import BatchPolicy
-from .pool import config_key, dataset_identity
+from .pool import PoolStats, config_key, dataset_identity
 from .queue import (
     DeadlineExceededError,
     Request,
@@ -63,7 +63,7 @@ from .queue import (
     ServerClosedError,
 )
 from .router import NoWorkersError, Router
-from .server import ServerStats, latency_summary
+from .server import ServerStats
 from .worker import (
     InlineWorker,
     ProcessWorker,
@@ -75,107 +75,36 @@ from .worker import (
 __all__ = ["ClusterStats", "ServingCluster"]
 
 
-#: One-line help strings for the registry-mirrored cluster counters.
-_COUNTER_HELP = {
-    "submitted": "requests accepted into the router queue",
-    "completed": "requests resolved with a worker result",
-    "rejected": "submissions refused (backpressure or closed)",
-    "expired": "requests that missed their deadline router-side",
-    "failed": "requests resolved with an error",
-    "dispatched": "work units shipped to a worker pipe",
-    "requeued": "units re-dispatched after a worker death",
-    "worker_deaths": "workers declared dead",
-    "duplicates_ignored": "late results dropped by at-most-once delivery",
-    "mutations": "GraphDelta broadcasts submitted",
-    "mutations_applied": "broadcasts acked by every live worker",
-    "workers_spawned": "workers added after startup (elastic scale-up)",
-    "workers_retired": "workers drained and removed (elastic scale-down)",
-    "replica_reads": "version-pinned reads steered to a read replica",
-}
-
-
-@dataclass
-class ClusterStats:
+class ClusterStats(StatBlock):
     """Router-side counters + end-to-end latency for one cluster lifetime.
 
     ``requeued`` counts units re-dispatched after a worker death;
     ``duplicates_ignored`` counts late results for already-completed
-    requests (the at-most-once delivery guard firing).
-
-    Like :class:`~repro.serve.server.ServerStats`, counting is
-    dual-homed: the fields feed :meth:`snapshot`, and every
-    :meth:`bump` mirrors into the matching ``repro_cluster_*_total``
-    registry counter (latencies into
+    requests (the at-most-once delivery guard firing).  A
+    :class:`~repro.obs.stats.StatBlock` over the
+    ``repro_cluster_*_total`` counters (latencies into
     ``repro_cluster_request_latency_seconds``).
     """
 
-    submitted: int = 0
-    completed: int = 0
-    rejected: int = 0
-    expired: int = 0
-    failed: int = 0
-    dispatched: int = 0
-    requeued: int = 0
-    worker_deaths: int = 0
-    duplicates_ignored: int = 0
-    mutations: int = 0           # GraphDelta broadcasts submitted
-    mutations_applied: int = 0   # broadcasts acked by every live worker
-    workers_spawned: int = 0     # elastic scale-up events
-    workers_retired: int = 0     # elastic scale-down events
-    replica_reads: int = 0       # version-pinned reads served by replicas
-    latencies: deque = field(default_factory=lambda: deque(maxlen=4096))
-    # appended by the router loop, iterated by stats_snapshot() callers
-    # on other threads — same race ServerStats locks against
-    _latency_lock: threading.Lock = field(default_factory=threading.Lock,
-                                          repr=False)
-
-    #: Counter fields mirrored into the metrics registry.
-    COUNTER_FIELDS = ("submitted", "completed", "rejected", "expired",
-                      "failed", "dispatched", "requeued", "worker_deaths",
-                      "duplicates_ignored", "mutations", "mutations_applied",
-                      "workers_spawned", "workers_retired", "replica_reads")
-
-    def __post_init__(self):
-        registry = get_registry()
-        self._obs_counters = {
-            f: registry.counter(f"repro_cluster_{f}_total", _COUNTER_HELP[f])
-            for f in self.COUNTER_FIELDS}
-        self._obs_latency = registry.histogram(
-            "repro_cluster_request_latency_seconds",
-            "submit-to-complete latency per request, router side")
-
-    def bump(self, field_name: str, n: int = 1) -> None:
-        """Increment one counter field and its registry twin together."""
-        setattr(self, field_name, getattr(self, field_name) + n)
-        self._obs_counters[field_name].inc(n)
-
-    def record_latency(self, seconds: float) -> None:
-        """Append one request's end-to-end latency sample (thread-safe)."""
-        with self._latency_lock:
-            self.latencies.append(seconds)
-        self._obs_latency.observe(seconds)
-
-    def snapshot(self) -> dict:
-        """Plain-dict view of the cluster-level counters."""
-        with self._latency_lock:
-            lat = list(self.latencies)
-        return {
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "rejected": self.rejected,
-            "expired": self.expired,
-            "failed": self.failed,
-            "dispatched": self.dispatched,
-            "requeued": self.requeued,
-            "worker_deaths": self.worker_deaths,
-            "duplicates_ignored": self.duplicates_ignored,
-            "mutations": self.mutations,
-            "mutations_applied": self.mutations_applied,
-            "workers_spawned": self.workers_spawned,
-            "workers_retired": self.workers_retired,
-            "replica_reads": self.replica_reads,
-            **latency_summary(lat),
-        }
+    PREFIX = "repro_cluster"
+    COUNTERS = {
+        "submitted": "requests accepted into the router queue",
+        "completed": "requests resolved with a worker result",
+        "rejected": "submissions refused (backpressure or closed)",
+        "expired": "requests that missed their deadline router-side",
+        "failed": "requests resolved with an error",
+        "dispatched": "work units shipped to a worker pipe",
+        "requeued": "units re-dispatched after a worker death",
+        "worker_deaths": "workers declared dead",
+        "duplicates_ignored": "late results dropped by at-most-once delivery",
+        "mutations": "GraphDelta broadcasts submitted",
+        "mutations_applied": "broadcasts acked by every live worker",
+        "workers_spawned": "workers added after startup (elastic scale-up)",
+        "workers_retired": "workers drained and removed (elastic scale-down)",
+        "replica_reads": "version-pinned reads steered to a read replica",
+    }
+    LATENCY = ("repro_cluster_request_latency_seconds",
+               "submit-to-complete latency per request, router side")
 
 
 @dataclass
@@ -761,7 +690,7 @@ class ServingCluster:
 
         Returns the number of requests completed this round.  ``now``
         threads a virtual clock into deadline culling; heartbeat aging
-        reads the same serving clock (:mod:`repro.serve._clock`), so an
+        reads the same serving clock (:mod:`repro._clock`), so an
         injected fake clock drives both domains together.
         """
         with self._lock:
@@ -1128,14 +1057,15 @@ class ServingCluster:
     def set_tracing(self, enabled: bool) -> None:
         """Toggle span collection router-side and on every live worker.
 
-        Process workers receive a ``("trace", enabled)`` message over
-        their pipe (FIFO with work, so the toggle lands between
-        batches); inline workers share this process's tracer and are
-        covered by the local switch alone.
+        Read replicas live outside the routing ring but serve pinned
+        reads, so they get the toggle too.  Process workers receive a
+        ``("trace", enabled)`` message over their pipe (FIFO with work,
+        so the toggle lands between batches); inline workers share this
+        process's tracer and are covered by the local switch alone.
         """
         _set_process_tracing(enabled)
         with self._lock:
-            for wid in list(self.router.workers()):
+            for wid in self._heartbeat_targets():
                 try:
                     self.workers[wid].send(("trace", bool(enabled)))
                 except (BrokenPipeError, OSError):
@@ -1188,11 +1118,7 @@ class ServingCluster:
             time.sleep(0.001)
         with self._lock:
             states = self._stats_replies.pop(seq, {})
-        pool_totals = {"sessions": 0, "hits": 0, "misses": 0,
-                       "evictions": 0, "checkpoint_loads": 0}
-        for state in states.values():
-            for key in pool_totals:
-                pool_totals[key] += state["pool"][key]
+        pools = [s["pool"] for s in states.values()]
         obs_states = [s["obs"] for s in states.values() if "obs" in s]
         obs_states.append(get_registry().state_dict())
         snap = {
@@ -1201,7 +1127,8 @@ class ServingCluster:
             "router": self.router.stats.snapshot(),
             "workers": ServerStats.merge(
                 [s["server"] for s in states.values()]),
-            "pool": pool_totals,
+            "pool": {"sessions": sum(p["sessions"] for p in pools),
+                     **PoolStats.merge(pools)},
             "per_worker": {wid: {"server": s["server"], "pool": s["pool"]}
                            for wid, s in sorted(states.items())},
             "workers_alive": len(self.router.workers()),

@@ -30,8 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .. import _clock
 from ..obs.metrics import get_registry
-from . import _clock
+from ..obs.stats import StatBlock
 
 __all__ = ["ElasticPolicy", "ElasticStats", "ElasticController"]
 
@@ -63,30 +64,15 @@ class ElasticPolicy:
                 raise ValueError(f"{name} must be >= 0")
 
 
-@dataclass
-class ElasticStats:
+_ACTIONS = ("repro_elastic_actions_total",
+            "elastic scaling actions taken, by direction", "action")
+
+
+class ElasticStats(StatBlock):
     """Scaling actions taken over one controller lifetime."""
 
-    spawned: int = 0
-    retired: int = 0
-
-    def __post_init__(self):
-        self._obs_actions = get_registry().counter(
-            "repro_elastic_actions_total",
-            "elastic scaling actions taken, by direction",
-            labels=("action",))
-
-    def count(self, action: str) -> None:
-        """Record one scaling action (and its registry twin)."""
-        if action == "spawn":
-            self.spawned += 1
-        else:
-            self.retired += 1
-        self._obs_actions.inc(action=action)
-
-    def snapshot(self) -> dict:
-        """Plain-dict view of the action counters."""
-        return {"spawned": self.spawned, "retired": self.retired}
+    LABELED = {"spawned": (*_ACTIONS, "spawn"),
+               "retired": (*_ACTIONS, "retire")}
 
 
 class ElasticController:
@@ -132,7 +118,7 @@ class ElasticController:
                     and alive < policy.max_workers
                     and not self._in_cooldown(now)):
                 self.cluster.spawn_worker()
-                self.stats.count("spawn")
+                self.stats.bump("spawned")
                 self._last_action = now
                 self._over_since = None
                 return "spawn"
@@ -146,7 +132,7 @@ class ElasticController:
                     and not self._in_cooldown(now)):
                 victim = self._newest_worker()
                 if victim is not None and self.cluster.retire_worker(victim):
-                    self.stats.count("retire")
+                    self.stats.bump("retired")
                     self._last_action = now
                     self._idle_since = None
                     return "retire"

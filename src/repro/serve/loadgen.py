@@ -30,11 +30,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _clock
+from .. import _clock
+from ..obs.stats import latency_summary
 from .batcher import BatchPolicy
 from .pool import SessionPool
 from .queue import DeadlineExceededError, QueueFullError
-from .server import InferenceServer, latency_summary
+from .server import InferenceServer
 
 __all__ = [
     "make_node_workload",

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from ..obs.metrics import get_registry
+from ..obs.stats import StatBlock
 
 __all__ = ["config_key", "dataset_identity", "PoolStats", "SessionPool"]
 
@@ -52,39 +51,20 @@ def dataset_identity(config) -> tuple:
     return (data.name, data.scale, seed)
 
 
-@dataclass
-class PoolStats:
+class PoolStats(StatBlock):
     """Admission/eviction counters for one pool lifetime.
 
-    Every :meth:`bump` also increments the matching
-    ``repro_pool_*_total`` counter in the process-global metrics
-    registry; the fields remain the snapshot source of truth.
+    A :class:`~repro.obs.stats.StatBlock` over the
+    ``repro_pool_*_total`` counters.
     """
 
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    checkpoint_loads: int = 0
-
-    #: Counter fields mirrored into the metrics registry.
-    COUNTER_FIELDS = ("hits", "misses", "evictions", "checkpoint_loads")
-
-    def __post_init__(self):
-        registry = get_registry()
-        help_text = {
-            "hits": "acquisitions served by a warm pooled session",
-            "misses": "acquisitions that built a fresh session",
-            "evictions": "sessions evicted by the pool LRU",
-            "checkpoint_loads": "checkpoints loaded on pool admission",
-        }
-        self._obs_counters = {
-            f: registry.counter(f"repro_pool_{f}_total", help_text[f])
-            for f in self.COUNTER_FIELDS}
-
-    def bump(self, field_name: str, n: int = 1) -> None:
-        """Increment one counter field and its registry twin together."""
-        setattr(self, field_name, getattr(self, field_name) + n)
-        self._obs_counters[field_name].inc(n)
+    PREFIX = "repro_pool"
+    COUNTERS = {
+        "hits": "acquisitions served by a warm pooled session",
+        "misses": "acquisitions that built a fresh session",
+        "evictions": "sessions evicted by the pool LRU",
+        "checkpoint_loads": "checkpoints loaded on pool admission",
+    }
 
     @property
     def hit_rate(self) -> float:

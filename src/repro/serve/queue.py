@@ -10,7 +10,7 @@ the configured bound) instead of growing without limit — callers can shed
 load or retry rather than watch latency climb.
 
 Deadlines are absolute timestamps on the serving clock
-(:func:`repro.serve._clock.now` — ``time.perf_counter`` unless a test
+(:func:`repro._clock.now` — ``time.perf_counter`` unless a test
 injects a fake).  An expired
 request is never executed: ``drain`` completes its future with
 :class:`DeadlineExceededError` and reports it so the server's stats count
@@ -27,7 +27,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from . import _clock
+from .. import _clock
 
 __all__ = [
     "ServeError",
@@ -141,7 +141,7 @@ class Request:
     ``"graphs"`` (per-graph outputs for ``indices``), or ``"mutate"``
     (a :class:`~repro.stream.GraphDelta` application, carried in
     ``delta``).  ``deadline`` is an absolute serving-clock timestamp
-    (:func:`repro.serve._clock.now`) or ``None``; expiry is inclusive
+    (:func:`repro._clock.now`) or ``None``; expiry is inclusive
     (see :meth:`expired`).
 
     ``trace`` is the request's root :class:`~repro.obs.TraceContext`

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from dataclasses import dataclass, field
 
-from ..obs.metrics import get_registry
+from ..obs.stats import StatBlock
 from .queue import ServeError
 
 __all__ = ["NoWorkersError", "HashRing", "RouterStats", "Router"]
@@ -117,39 +116,33 @@ class HashRing:
         return None
 
 
-@dataclass
-class RouterStats:
+_DECISIONS = ("repro_router_decisions_total",
+              "routing decisions by kind (sticky / spill / reroute)",
+              "decision")
+
+
+class RouterStats(StatBlock):
     """Routing decisions for one router lifetime.
 
-    Each decision also increments
-    ``repro_router_decisions_total{decision=sticky|spill|reroute}`` in
-    the process-global metrics registry (the fields stay the snapshot's
-    source of truth).
+    A :class:`~repro.obs.stats.StatBlock` over
+    ``repro_router_decisions_total{decision=sticky|spill|reroute}``.
     """
 
-    routed: int = 0
-    sticky: int = 0   # sent to the consistent-hash owner
-    spills: int = 0   # diverted to least-loaded on overload
-    reroutes: int = 0  # sticky owner excluded (e.g. dead), fell through
+    LABELED = {
+        "sticky": (*_DECISIONS, "sticky"),    # the consistent-hash owner
+        "spills": (*_DECISIONS, "spill"),     # least-loaded, on overload
+        "reroutes": (*_DECISIONS, "reroute"),  # owner excluded (e.g. dead)
+    }
 
-    def __post_init__(self):
-        self._obs_decisions = get_registry().counter(
-            "repro_router_decisions_total",
-            "routing decisions by kind (sticky / spill / reroute)",
-            labels=("decision",))
+    @property
+    def routed(self) -> int:
+        """Every decision taken: sticky + spills + reroutes."""
+        return self.sticky + self.spills + self.reroutes
 
-    def count(self, decision: str) -> None:
-        """Record one routing decision (``sticky``/``spill``/``reroute``)."""
-        self.routed += 1
-        field_name = {"sticky": "sticky", "spill": "spills",
-                      "reroute": "reroutes"}[decision]
-        setattr(self, field_name, getattr(self, field_name) + 1)
-        self._obs_decisions.inc(decision=decision)
-
-    def snapshot(self) -> dict:
-        """Plain-dict view of the routing counters."""
-        return {"routed": self.routed, "sticky": self.sticky,
-                "spills": self.spills, "reroutes": self.reroutes}
+    @classmethod
+    def _view(cls, counts: dict, latencies) -> dict:
+        """The per-decision counts, led by their ``routed`` total."""
+        return {"routed": sum(counts.values()), **counts}
 
 
 class Router:
@@ -223,12 +216,12 @@ class Router:
                 chosen = least
                 spilled = True
         if spilled:
-            self.stats.count("spill")
+            self.stats.bump("spills")
         elif chosen == hash_owner:
-            self.stats.count("sticky")
+            self.stats.bump("sticky")
         else:
             # the true owner was excluded; this is a fallback, not a spill
-            self.stats.count("reroute")
+            self.stats.bump("reroutes")
         self.in_flight[chosen] += 1
         return chosen
 

@@ -29,16 +29,15 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from collections import deque
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import _clock
 from ..obs import hooks as _hooks
 from ..obs.metrics import get_registry
+from ..obs.stats import StatBlock
 from ..obs.trace import get_tracer
-from . import _clock
 from .batcher import BatchPolicy, MicroBatch, MicroBatcher, seq_len_bucket
 from .pool import SessionPool, config_key
 from .queue import (
@@ -49,90 +48,40 @@ from .queue import (
     ServerClosedError,
 )
 
-__all__ = ["latency_summary", "ServerStats", "InferenceServer"]
+__all__ = ["ServerStats", "InferenceServer"]
 
 
-def latency_summary(latencies) -> dict:
-    """Mean/p50/p95 of a latency sample, NaN-safe on empty input.
-
-    Shared by per-server snapshots and the cluster-level merge so both
-    report the same fields from the same math.
-    """
-    lat = np.asarray(latencies, dtype=np.float64)
-    return {
-        "latency_mean_s": float(lat.mean()) if lat.size else float("nan"),
-        "latency_p50_s": (float(np.percentile(lat, 50))
-                          if lat.size else float("nan")),
-        "latency_p95_s": (float(np.percentile(lat, 95))
-                          if lat.size else float("nan")),
-    }
-
-
-#: One-line help strings for the registry-mirrored server counters.
-_COUNTER_HELP = {
-    "submitted": "requests accepted into the serve queue",
-    "completed": "requests resolved with a result",
-    "rejected": "submissions refused (backpressure or closed)",
-    "expired": "requests that missed their deadline",
-    "failed": "requests resolved with an error",
-    "batches": "micro-batches executed",
-    "batched_requests": "requests executed inside micro-batches",
-    "shared_computes": "requests answered from another request's forward",
-    "mutations": "GraphDeltas applied",
-    "mutations_ignored": "version-guarded duplicate delta deliveries",
-}
-
-
-@dataclass
-class ServerStats:
+class ServerStats(StatBlock):
     """Counters + sliding latency window for one server lifetime.
 
-    Counting is dual-homed: the dataclass fields stay the source the
-    snapshot dicts and tests read, and every :meth:`bump` also
-    increments the matching ``repro_serve_*_total`` counter in the
-    process-global :class:`~repro.obs.MetricsRegistry` (latencies land
-    in the ``repro_serve_request_latency_seconds`` histogram), so the
-    unified exporters see the same numbers without any test churn.
+    A :class:`~repro.obs.stats.StatBlock` over the
+    ``repro_serve_*_total`` counters; latencies land in the
+    ``repro_serve_request_latency_seconds`` histogram and batch sizes in
+    ``repro_serve_batch_occupancy``.
     """
 
-    submitted: int = 0
-    completed: int = 0
-    rejected: int = 0
-    expired: int = 0
-    failed: int = 0
-    batches: int = 0
-    batched_requests: int = 0  # sum of batch occupancies
-    shared_computes: int = 0   # requests answered from another's forward
-    mutations: int = 0         # GraphDeltas applied
-    mutations_ignored: int = 0  # version-guarded duplicate deliveries
-    latencies: deque = field(default_factory=lambda: deque(maxlen=4096))
-    # the deque is written by the worker thread and read by snapshot()
-    # callers; iteration during append raises, so both sides lock
-    _latency_lock: threading.Lock = field(default_factory=threading.Lock,
-                                          repr=False)
+    PREFIX = "repro_serve"
+    COUNTERS = {
+        "submitted": "requests accepted into the serve queue",
+        "completed": "requests resolved with a result",
+        "rejected": "submissions refused (backpressure or closed)",
+        "expired": "requests that missed their deadline",
+        "failed": "requests resolved with an error",
+        "batches": "micro-batches executed",
+        "batched_requests": "requests executed inside micro-batches",
+        "shared_computes": "requests answered from another request's forward",
+        "mutations": "GraphDeltas applied",
+        "mutations_ignored": "version-guarded duplicate delta deliveries",
+    }
+    LATENCY = ("repro_serve_request_latency_seconds",
+               "submit-to-complete latency per request")
 
-    #: Counter fields summed when merging per-worker stats.
-    COUNTER_FIELDS = ("submitted", "completed", "rejected", "expired",
-                      "failed", "batches", "batched_requests",
-                      "shared_computes", "mutations", "mutations_ignored")
-
-    def __post_init__(self):
-        registry = get_registry()
-        self._obs_counters = {
-            f: registry.counter(f"repro_serve_{f}_total", _COUNTER_HELP[f])
-            for f in self.COUNTER_FIELDS}
-        self._obs_latency = registry.histogram(
-            "repro_serve_request_latency_seconds",
-            "submit-to-complete latency per request")
-        self._obs_occupancy = registry.histogram(
+    def __init__(self):
+        super().__init__()
+        self._obs_occupancy = get_registry().histogram(
             "repro_serve_batch_occupancy",
             "requests per executed micro-batch",
             bounds=tuple(float(2 ** e) for e in range(0, 11)))
-
-    def bump(self, field_name: str, n: int = 1) -> None:
-        """Increment one counter field and its registry twin together."""
-        setattr(self, field_name, getattr(self, field_name) + n)
-        self._obs_counters[field_name].inc(n)
 
     def record_batch(self, occupancy: int) -> None:
         """Count one executed micro-batch of ``occupancy`` requests."""
@@ -140,69 +89,29 @@ class ServerStats:
         self.bump("batched_requests", occupancy)
         self._obs_occupancy.observe(occupancy)
 
-    def record_latency(self, seconds: float) -> None:
-        """Append one request's submit-to-complete latency sample."""
-        with self._latency_lock:
-            self.latencies.append(seconds)
-        self._obs_latency.observe(seconds)
-
     @property
     def mean_occupancy(self) -> float:
         """Average requests per executed micro-batch (0.0 before any)."""
         return self.batched_requests / self.batches if self.batches else 0.0
 
-    def state_dict(self) -> dict:
-        """Picklable raw state: counters + latency samples.
-
-        What a cluster worker ships to the router for merging — unlike
-        :meth:`snapshot` it keeps the raw latency list, because
-        percentiles of percentiles are not percentiles.
-        """
-        with self._latency_lock:
-            lat = list(self.latencies)
-        state = {f: getattr(self, f) for f in self.COUNTER_FIELDS}
-        state["latencies"] = lat
-        return state
-
-    @staticmethod
-    def merge(states) -> dict:
-        """Merge per-worker :meth:`state_dict` dicts into one snapshot.
-
-        Counters sum; occupancy is re-derived from the summed totals;
-        latency percentiles are computed over the concatenated samples.
-        Returns the same shape as :meth:`snapshot`.
-        """
-        states = list(states)
-        totals = {f: sum(s.get(f, 0) for s in states)
-                  for f in ServerStats.COUNTER_FIELDS}
-        latencies: list[float] = []
-        for s in states:
-            latencies.extend(s.get("latencies", ()))
-        batches = totals["batches"]
-        merged = {f: totals[f] for f in ServerStats.COUNTER_FIELDS
-                  if f != "batched_requests"}
-        merged["mean_batch_occupancy"] = round(
-            totals["batched_requests"] / batches if batches else 0.0, 3)
-        merged.update(latency_summary(latencies))
-        return merged
+    @classmethod
+    def _view(cls, counts: dict, latencies) -> dict:
+        """Occupancy is re-derived from the summed totals and replaces
+        the raw ``batched_requests`` sum in every view."""
+        batched, batches = counts.pop("batched_requests"), counts["batches"]
+        counts["mean_batch_occupancy"] = round(
+            batched / batches if batches else 0.0, 3)
+        return super()._view(counts, latencies)
 
     def snapshot(self) -> dict:
         """A plain-dict view (what ``repro serve``'s ``stats`` prints)."""
-        with self._latency_lock:
-            lat = list(self.latencies)
-        return {
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "rejected": self.rejected,
-            "expired": self.expired,
-            "failed": self.failed,
-            "batches": self.batches,
-            "mean_batch_occupancy": round(self.mean_occupancy, 3),
-            "shared_computes": self.shared_computes,
-            "mutations": self.mutations,
-            "mutations_ignored": self.mutations_ignored,
-            **latency_summary(lat),
-        }
+        snap = super().snapshot()
+        # one server lists occupancy right after ``batches``; the merged
+        # view lists it after the counters — consumers print both as is
+        keys = list(snap)
+        keys.insert(keys.index("batches") + 1,
+                    keys.pop(keys.index("mean_batch_occupancy")))
+        return {k: snap[k] for k in keys}
 
 
 class _GraphScatter:

@@ -202,6 +202,7 @@ class WorkerRuntime:
                                max_wait_s=init.max_wait_s),
             max_queue_depth=init.queue_depth)
         self._configs: dict[str, object] = {}  # config_json -> RunConfig
+        self.pending: list = []  # (unit, future) submitted, not yet executed
         self._tails: list = []
         for cfg_json, wal_path in init.wal_tails:
             from ..stream import MutationLog
@@ -337,14 +338,41 @@ class WorkerRuntime:
             "worker_id": self.worker_id,
             "server": self.server.stats.state_dict(),
             "obs": get_registry().state_dict(),
-            "pool": {
-                "sessions": len(self.pool),
-                "hits": self.pool.stats.hits,
-                "misses": self.pool.stats.misses,
-                "evictions": self.pool.stats.evictions,
-                "checkpoint_loads": self.pool.stats.checkpoint_loads,
-            },
+            "pool": {"sessions": len(self.pool),
+                     **self.pool.stats.state_dict()},
         }
+
+    def handle(self, msg) -> tuple[list, bool]:
+        """Apply one router message; returns ``(replies, stop)``.
+
+        The whole protocol ladder, shared by the process loop and the
+        inline handle so they differ only in transport.  Work is
+        buffered (bursts coalesce into one batch at the next
+        :meth:`flush`); ``stop`` is true on ``("shutdown",)``.
+        """
+        kind = msg[0]
+        if kind == "work":
+            self.pending.append(self.submit(msg[1]))
+        elif kind == "ping":
+            return [("pong", msg[1], self.worker_id, self.versions())], False
+        elif kind == "stats":
+            return [("stats", msg[1], self.worker_id, self.state())], False
+        elif kind == "trace":
+            set_tracing(msg[1])
+        return [], kind == "shutdown"
+
+    def flush(self) -> list:
+        """Execute the buffered batch; returns its ``("result", …)`` replies.
+
+        With nothing buffered, an idle replica catches up on its log
+        instead.
+        """
+        if self.pending:
+            pending, self.pending = self.pending, []
+            return [("result", r) for r in self.execute(pending)]
+        if self._tails:
+            self.poll_wal()
+        return []
 
 
 def worker_main(init: WorkerInit, conn) -> None:
@@ -357,11 +385,10 @@ def worker_main(init: WorkerInit, conn) -> None:
     runtime = WorkerRuntime(init)
     if init.trace_enabled:
         set_tracing(True)
-    pending: list = []
-    running = True
-    while running:
+    stop = False
+    while not stop:
         try:
-            ready = conn.poll(0.0 if pending else 0.2)
+            ready = conn.poll(0.0 if runtime.pending else 0.2)
         except (EOFError, OSError):
             break
         if ready:
@@ -369,29 +396,16 @@ def worker_main(init: WorkerInit, conn) -> None:
                 msg = conn.recv()
             except (EOFError, OSError):
                 break
-            kind = msg[0]
-            if kind == "work":
-                pending.append(runtime.submit(msg[1]))
-            elif kind == "ping":
-                conn.send(("pong", msg[1], init.worker_id,
-                           runtime.versions()))
-            elif kind == "stats":
-                conn.send(("stats", msg[1], init.worker_id, runtime.state()))
-            elif kind == "trace":
-                set_tracing(msg[1])
-            elif kind == "shutdown":
-                running = False
+            replies, stop = runtime.handle(msg)
+            for reply in replies:
+                conn.send(reply)
             continue  # keep draining so bursts coalesce into one batch
-        if pending:
-            for result in runtime.execute(pending):
-                conn.send(("result", result))
-            pending = []
-        elif runtime._tails:
-            runtime.poll_wal()  # idle replica: catch up on the log
-    if pending:  # answer work accepted before the shutdown message
-        for result in runtime.execute(pending):
+        for reply in runtime.flush():
+            conn.send(reply)
+    if runtime.pending:  # answer work accepted before the shutdown message
+        for reply in runtime.flush():
             try:
-                conn.send(("result", result))
+                conn.send(reply)
             except (BrokenPipeError, OSError):
                 break
     try:
@@ -464,7 +478,6 @@ class InlineWorker:
         self._inbox: deque = deque()
         self._outbox: deque = deque()
         self._held: deque = deque()
-        self._pending: list = []
         self._dead = False
         self._stopped = False
         self.units_routed: list[WorkUnit] = []  # every unit sent here
@@ -484,26 +497,12 @@ class InlineWorker:
             return
         while self._inbox:
             msg = self._inbox.popleft()
-            kind = msg[0]
-            if kind == "work":
+            if msg[0] == "work":
                 self.units_seen.append(msg[1])
-                self._pending.append(self.runtime.submit(msg[1]))
-            elif kind == "ping":
-                self._outbox.append(("pong", msg[1], self.id,
-                                     self.runtime.versions()))
-            elif kind == "stats":
-                self._outbox.append(("stats", msg[1], self.id,
-                                     self.runtime.state()))
-            elif kind == "trace":
-                set_tracing(msg[1])  # shares the process-global tracer
-            elif kind == "shutdown":
-                self._stopped = True
-        if self._pending:
-            for result in self.runtime.execute(self._pending):
-                self._outbox.append(("result", result))
-            self._pending = []
-        elif self.runtime._tails:
-            self.runtime.poll_wal()  # idle replica: catch up on the log
+            replies, stop = self.runtime.handle(msg)
+            self._outbox.extend(replies)
+            self._stopped |= stop
+        self._outbox.extend(self.runtime.flush())
         if self._stopped:
             self._outbox.append(("bye", self.id))
             self._dead = True
@@ -535,7 +534,7 @@ class InlineWorker:
             self.step_worker()
         else:
             self._inbox.clear()
-            self._pending = []
+            self.runtime.pending = []
         if hold_results:
             self._held.extend(self._outbox)
             self._outbox.clear()

@@ -26,6 +26,7 @@ from contextlib import contextmanager
 
 from ..obs import hooks as _hooks
 from ..obs.metrics import get_registry
+from ..obs.stats import StatBlock
 
 __all__ = ["ChunkCache", "DEFAULT_CACHE_BYTES"]
 
@@ -33,36 +34,34 @@ __all__ = ["ChunkCache", "DEFAULT_CACHE_BYTES"]
 DEFAULT_CACHE_BYTES = 64 * 2**20
 
 
-class ChunkCache:
+class ChunkCache(StatBlock):
     """Byte-budgeted LRU over loaded chunks, with a pinned tier.
 
     Keys are caller-chosen hashables (the row arrays use
     ``(array_name, chunk_index)``); values are the loaded numpy views.
+    Its ``hits`` / ``misses`` / ``evictions`` are a
+    :class:`~repro.obs.stats.StatBlock` over the
+    ``repro_store_chunk_*_total`` counters.
     """
+
+    PREFIX = "repro_store_chunk"
+    COUNTERS = {
+        "hits": "chunk-cache reads served from a resident chunk",
+        "misses": "chunk-cache reads that loaded a chunk from disk",
+        "evictions": "chunks evicted by the byte-budget LRU",
+    }
 
     def __init__(self, budget_bytes: int = DEFAULT_CACHE_BYTES):
         if budget_bytes < 0:
             raise ValueError(
                 f"budget_bytes must be >= 0, got {budget_bytes}")
+        super().__init__()
         self.budget_bytes = int(budget_bytes)
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
         self._entries: OrderedDict = OrderedDict()  # key -> (array, nbytes)
         self._pins: dict = {}                       # key -> pin count
         self._bytes = 0
-        registry = get_registry()
-        self._obs_hits = registry.counter(
-            "repro_store_chunk_hits_total",
-            "chunk-cache reads served from a resident chunk")
-        self._obs_misses = registry.counter(
-            "repro_store_chunk_misses_total",
-            "chunk-cache reads that loaded a chunk from disk")
-        self._obs_evictions = registry.counter(
-            "repro_store_chunk_evictions_total",
-            "chunks evicted by the byte-budget LRU")
         # delta-tracked so several caches in one process sum correctly
-        self._obs_bytes = registry.gauge(
+        self._obs_bytes = get_registry().gauge(
             "repro_store_cached_bytes",
             "logical bytes currently resident in chunk caches")
 
@@ -78,12 +77,10 @@ class ChunkCache:
         """
         entry = self._entries.get(key)
         if entry is not None:
-            self.hits += 1
-            self._obs_hits.inc()
+            self.bump("hits")
             self._entries.move_to_end(key)
             return entry[0]
-        self.misses += 1
-        self._obs_misses.inc()
+        self.bump("misses")
         array = loader()
         nbytes = int(array.nbytes)
         _hooks.fire("on_chunk_miss", key=key, nbytes=nbytes)
@@ -106,8 +103,7 @@ class ChunkCache:
             _, nbytes = self._entries.pop(victim)
             self._bytes -= nbytes
             self._obs_bytes.add(-nbytes)
-            self.evictions += 1
-            self._obs_evictions.inc()
+            self.bump("evictions")
 
     def evict(self, key) -> bool:
         """Drop one entry regardless of recency (not counted as an
@@ -178,9 +174,7 @@ class ChunkCache:
     def stats(self) -> dict:
         """Counters + occupancy: the cache-tuning observability surface."""
         return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
+            **self.snapshot(),
             "cached_chunks": len(self._entries),
             "cached_bytes": self._bytes,
             "pinned_chunks": len(self._pins),

@@ -1,11 +1,11 @@
-"""serve._clock: one injectable clock behind deadlines AND heartbeats.
+"""repro._clock: one injectable clock behind deadlines AND heartbeats.
 
 The regression these tests pin: the cluster once aged heartbeats on
 ``time.monotonic`` while request deadlines lived on ``time.perf_counter``
 (the queue contract).  A fake clock could freeze one domain while the
 other kept moving, so deadline culling and worker-health policing could
 drift apart in ways no deterministic test could observe.  Now both read
-:func:`repro.serve._clock.now`, and a single :class:`ManualClock` drives
+:func:`repro._clock.now`, and a single :class:`ManualClock` drives
 them together.
 """
 
@@ -23,7 +23,7 @@ from repro.serve import (
     ServingCluster,
     clock_override,
 )
-from repro.serve import _clock
+from repro import _clock
 
 
 def node_config(seed: int = 0) -> RunConfig:

@@ -21,6 +21,7 @@ from repro.api import (
     TrainConfig,
 )
 from repro.graph import load_node_dataset
+from repro.obs import get_tracer
 from repro.serve import InferenceServer, ServingCluster, SessionPool
 from repro.stream import MutationLog, make_churn_deltas
 
@@ -199,6 +200,32 @@ class TestReadReplicas:
             assert wal_stats["replica_lag"] == 0
             assert set(wal_stats["replica_versions"]) == {"r0"}
         finally:
+            cluster.close()
+
+
+class TestReplicaTracing:
+    def test_set_tracing_reaches_replicas(self, tmp_path):
+        """Regression: the toggle went to ring workers only, so a replica
+        spawned with tracing off served pinned reads without spans."""
+        cfg = node_config()
+        cluster = make_cluster(tmp_path / "wal", replicas=1,
+                               backend="process", num_workers=1)
+        try:
+            cluster.submit_delta(cfg, churn(1)[0])
+            cluster.run_until_idle()
+            wait_for_replica(cluster, cfg)
+            get_tracer().clear()
+            cluster.set_tracing(True)
+            fut = cluster.submit(cfg, nodes=np.arange(8), min_version=1)
+            cluster.run_until_idle()
+            fut.result(timeout=30.0)
+            assert cluster.stats.replica_reads == 1
+            names = {s.name for s in cluster.trace_spans()}
+            # worker-side spans, shipped back on the replica's result
+            assert {"batch", "compute"} <= names
+        finally:
+            cluster.set_tracing(False)
+            get_tracer().clear()
             cluster.close()
 
 
