@@ -296,11 +296,11 @@ class Session:
         """Route this session's mutations through a durable WAL.
 
         Every subsequent :meth:`apply_delta` goes through
-        :func:`repro.stream.log_apply` — append to ``log``, apply,
-        maybe snapshot — so a crashed process replays back to the last
-        acknowledged ``graph_version``.  Records in ``log`` past the
-        dataset's current version are replayed immediately; returns
-        the number replayed.
+        :func:`repro.stream.log_apply` — validate, append to ``log``,
+        apply, maybe snapshot — so a crashed process replays back to
+        the last acknowledged ``graph_version``.  Records in ``log``
+        past the dataset's current version are replayed immediately;
+        returns the number replayed.
         """
         from ..attention.workspace import invalidate_touching
 
@@ -316,7 +316,7 @@ class Session:
             self._compiled.clear()
         return applied
 
-    def apply_delta(self, delta):
+    def apply_delta(self, delta, log=None, version: int | None = None):
         """Apply a :class:`~repro.stream.GraphDelta` to the live dataset.
 
         The topology change goes through the incremental CSR rebuild
@@ -328,8 +328,15 @@ class Session:
         subgraphs') workspaces stay warm.  Prepared contexts and
         encodings are rebuilt lazily on the next :meth:`predict`.
 
-        With a WAL attached (:meth:`attach_wal`) the delta is appended
-        to the log before it is applied, making the mutation durable.
+        With a WAL — ``log``, or else the one :meth:`attach_wal`
+        attached — the delta is committed through
+        :func:`repro.stream.log_apply` (validate, append, apply,
+        snapshot cadence), making the mutation durable.  ``version`` is
+        the ``graph_version`` an outside authority (a cluster router, a
+        tailed log) says this delta produces: the log records it, and a
+        dataset that had fallen behind is aligned to it so redelivery
+        guards stay aligned (node additions are not idempotent — a
+        requeued delta must never apply twice).
 
         Node-level datasets only; raises mid-``fit()`` (the trainer owns
         the graph then).  Returns the :class:`~repro.stream.DeltaReport`.
@@ -344,10 +351,13 @@ class Session:
                 "datasets are collections of independent frozen graphs")
         if self._fitting:
             raise RuntimeError("cannot apply a delta while fit() is running")
-        if self._wal is not None:
-            report = log_apply(self._wal, self.dataset, delta)
+        log = self._wal if log is None else log
+        if log is not None:
+            report = log_apply(log, self.dataset, delta, version)
         else:
             report = stream_apply(self.dataset, delta)
+        if version is not None and self.graph_version < version:
+            self.dataset.graph_version = version
         invalidate_touching(report.touched_rows, tag=self._stream_tag())
         self._infer_cache = None
         self._compiled.clear()  # folded encodings reflect the old topology

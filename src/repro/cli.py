@@ -47,6 +47,7 @@ with an argv list.
 from __future__ import annotations
 
 import argparse
+import functools
 import signal
 import sys
 import time
@@ -201,16 +202,6 @@ def _print_stats(snapshot: dict, indent: int = 1) -> None:
             print(f"{pad}{key}: {value}")
 
 
-def _obs_snapshot(backend, cluster: bool) -> dict:
-    """The metrics snapshot for a serving backend, fleet-merged when
-    the backend is a cluster (workers' registries + the router's)."""
-    if cluster:
-        return backend.stats_snapshot()["obs"]
-    from repro.obs import get_registry
-
-    return get_registry().snapshot()
-
-
 def cmd_stats(args: argparse.Namespace) -> int:
     """Drive a seeded sample load and export the metrics registry.
 
@@ -230,8 +221,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     except FileNotFoundError:
         print(f"error: no such config file: {args.config}", file=sys.stderr)
         return 2
-    cluster = args.workers > 0
-    if cluster:
+    if args.workers > 0:
         backend = ServingCluster(num_workers=args.workers,
                                  warm_configs=[config])
     else:
@@ -241,13 +231,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
         backend.run_until_idle()
         for f in futures:
             f.result(timeout=60.0)
-        snapshot = _obs_snapshot(backend, cluster)
+        snapshot = backend.obs_snapshot()
         # durability facts ride on stderr so stdout stays a clean export
         line = f"graph_version: {backend.graph_version(config)}"
-        if cluster:
-            lag = backend.replica_lag(config)
-            if lag is not None:
-                line += f"  replica_lag: {lag}"
+        lag = backend.replica_lag(config)
+        if lag is not None:
+            line += f"  replica_lag: {lag}"
         print(line, file=sys.stderr)
     finally:
         backend.close()
@@ -374,6 +363,23 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 + (f" + WAL {args.wal}" if args.wal else "")
                 + (f" + {args.replicas} read replicas"
                    if args.replicas else ""))
+
+        def churn_source():
+            # the workers hold the served data; `mutate churn` needs a
+            # router-side copy to generate deltas valid against current
+            # topology.  A store opens read-only (mirror deltas overlay
+            # in router RAM, the workers' shared files stay untouched);
+            # otherwise reload with the (name, scale, effective seed)
+            # the startup broadcast used, so the copy matches the fleet
+            if args.store:
+                from repro.store import open_store
+
+                return open_store(args.store)
+            from repro.graph import load_node_dataset
+            from repro.serve import dataset_identity
+
+            name, scale, seed = dataset_identity(config)
+            return load_node_dataset(name, scale=scale, seed=seed)
     else:
         if args.replicas:
             print("error: --replicas requires --workers (replicas are "
@@ -396,12 +402,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
                                   wal=wal)
         session = pool.acquire(config)  # warm the pool before requests
         if wal is not None and config.data.task_kind == "node":
-            replayed = wal.replay(session.dataset)
+            replayed = session.attach_wal(wal)
             if replayed:
                 print(f"replayed {replayed} WAL records -> graph_version "
                       f"{session.graph_version}")
         if args.fit:
             session.fit(callbacks=[EpochLogger()])
+
+        def churn_source():
+            return pool.acquire(config).dataset  # the live dataset itself
         tier = ("in-process server"
                 + (f" on store {args.store}" if args.store else "")
                 + (f" + WAL {args.wal}" if args.wal else ""))
@@ -416,10 +425,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
           "mutate add|remove u v [u v …] | "
           "mutate churn [edges [seed]] | version | stats [prom|json] | "
           "trace on|off|dump [path] | quit")
-    # cluster mode keeps a router-side mirror of the mutated dataset so
-    # `mutate churn` can generate valid deltas against current topology;
-    # single-server mode reads the live pooled dataset directly
-    state = {"mirror": None, "store": args.store}
+    churn_source = functools.cache(churn_source)  # opened on first mutate
     for line in sys.stdin:
         parts = line.split()
         if not parts:
@@ -432,30 +438,27 @@ def cmd_serve(args: argparse.Namespace) -> int:
             if fmt in ("prom", "json"):
                 from repro.obs import to_json, to_prometheus
 
-                snapshot = _obs_snapshot(backend, cluster=args.workers > 0)
+                snapshot = backend.obs_snapshot()
                 print(to_prometheus(snapshot) if fmt == "prom"
                       else to_json(snapshot))
             else:
                 _print_stats(backend.stats_snapshot())
             continue
         if cmd == "trace":
-            _serve_trace(backend, ids, cluster=args.workers > 0)
+            _serve_trace(backend, ids)
             continue
         if cmd == "version":
             print(f"graph_version: {backend.graph_version(config)}")
-            log = (backend.wal_for(config) if args.workers > 0
-                   else backend.wal)
+            log = backend.wal_for(config)
             if log is not None:
                 print(f"wal: records={log.record_count} "
                       f"last_version={log.last_version}")
-            if args.workers > 0:
-                lag = backend.replica_lag(config)
-                if lag is not None:
-                    print(f"replica_lag: {lag}")
+            lag = backend.replica_lag(config)
+            if lag is not None:
+                print(f"replica_lag: {lag}")
             continue
         if cmd == "mutate":
-            _serve_mutate(backend, config, ids, state,
-                          cluster=args.workers > 0)
+            _serve_mutate(backend, config, ids, churn_source)
             continue
         if cmd != "predict":
             print(f"unknown command {cmd!r} "
@@ -587,27 +590,23 @@ def cmd_client(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_trace(backend, ids, cluster: bool) -> None:
+def _serve_trace(backend, ids) -> None:
     """Handle the serve REPL's ``trace`` subcommands.
 
-    ``trace on`` / ``trace off`` toggle span collection (fleet-wide in
-    cluster mode — the toggle is broadcast to every live worker);
-    ``trace dump [path]`` writes the buffered spans as JSON-lines to
-    ``path`` (or prints them) without clearing the buffer.
+    ``trace on`` / ``trace off`` toggle span collection on every
+    process of the backend (a cluster broadcasts the toggle to every
+    live worker); ``trace dump [path]`` writes the buffered spans as
+    JSON-lines to ``path`` (or prints them) without clearing the buffer.
     """
-    from repro.obs import get_tracer, set_tracing, spans_to_jsonl
+    from repro.obs import spans_to_jsonl
 
     sub = ids[0].lower() if ids else ""
     if sub in ("on", "off"):
         enabled = sub == "on"
-        if cluster:
-            backend.set_tracing(enabled)
-        else:
-            set_tracing(enabled)
+        backend.set_tracing(enabled)
         print(f"tracing {'enabled' if enabled else 'disabled'}")
     elif sub == "dump":
-        spans = (backend.trace_spans() if cluster
-                 else get_tracer().spans())
+        spans = backend.trace_spans()
         text = spans_to_jsonl(spans)
         if len(ids) > 1:
             with open(ids[1], "w") as f:
@@ -621,14 +620,15 @@ def _serve_trace(backend, ids, cluster: bool) -> None:
         print("error: trace takes on/off/dump [path]", file=sys.stderr)
 
 
-def _serve_mutate(backend, config, ids, state, cluster: bool) -> None:
+def _serve_mutate(backend, config, ids, churn_source) -> None:
     """Handle the serve REPL's ``mutate`` subcommands.
 
     ``mutate add u v [u v …]`` / ``mutate remove u v [u v …]`` apply
     explicit undirected edges; ``mutate churn [edges [seed]]`` applies
     one seeded random delta that removes live edges and adds absent
-    ones.  Cluster mode mirrors every applied delta onto a router-side
-    dataset copy so churn generation always sees current topology.
+    ones.  ``churn_source()`` is the dataset churn is generated
+    against: the live one, or a copy that every applied delta is
+    mirrored onto so generation always sees current topology.
     """
     from repro.stream import GraphDelta, apply_delta, make_churn_deltas
 
@@ -636,25 +636,7 @@ def _serve_mutate(backend, config, ids, state, cluster: bool) -> None:
         print("error: mutate applies to node-level configs only",
               file=sys.stderr)
         return
-    if state["mirror"] is None:
-        if cluster and state.get("store"):
-            from repro.store import open_store
-
-            # read-only open: mirror deltas overlay in router RAM, the
-            # workers' shared files stay untouched
-            state["mirror"] = open_store(state["store"])
-        elif cluster:
-            from repro.graph import load_node_dataset
-            from repro.serve import dataset_identity
-
-            # same (name, scale, effective seed) resolution the cluster's
-            # startup broadcast used, so the mirror matches the workers
-            name, scale, seed = dataset_identity(config)
-            state["mirror"] = load_node_dataset(name, scale=scale,
-                                                seed=seed)
-        else:
-            state["mirror"] = backend.pool.acquire(config).dataset
-    dataset = state["mirror"]
+    dataset = churn_source()
     sub = ids[0].lower() if ids else ""
     try:
         if sub in ("add", "remove"):
@@ -680,7 +662,7 @@ def _serve_mutate(backend, config, ids, state, cluster: bool) -> None:
     except Exception as e:
         print(f"mutation failed: {e}", file=sys.stderr)
         return
-    if cluster:  # keep the churn mirror aligned with the fleet
+    if dataset.graph_version < new_version:  # a copy: follow the fleet
         apply_delta(dataset, delta)
     print(f"ok: applied {delta} -> graph_version {new_version}")
 

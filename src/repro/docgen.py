@@ -174,6 +174,20 @@ def _render_module(lines: list[str], module, title: str) -> None:
                 elif isinstance(vars(obj)[mname], property):
                     lines.append(f"- `{mname}` *(property)* — "
                                  f"{_first_paragraph(member.fget)}")
+            for base in obj.__mro__[1:]:
+                # an in-package base's methods are this class's surface
+                # too; name them (their entries are under the base)
+                if (not base.__module__.startswith("repro.")
+                        or base.__name__.startswith("_")):
+                    continue
+                inherited = sorted(
+                    m for m, member in vars(base).items()
+                    if not m.startswith("_") and inspect.isfunction(member)
+                    and m not in vars(obj))
+                if inherited:
+                    lines.append(
+                        f"- inherited from `{base.__name__}`: "
+                        + ", ".join(f"`{m}`" for m in inherited))
             if lines[-1] != "":
                 lines.append("")
         elif inspect.isfunction(obj):

@@ -7,15 +7,14 @@ reads and partial writes are first-class — a frame may arrive in twenty
 TCP segments and a 50 MB logits response may drain over many
 writability events without ever blocking the loop.
 
-The server *drives* its backend (an
-:class:`~repro.serve.InferenceServer` or
-:class:`~repro.serve.ServingCluster` in driven mode): every
+The server *drives* its backend — any
+:class:`~repro.serve.tier.ServeTier` in driven mode: every
 :meth:`NetServer.poll` round does socket I/O, steps the backend,
 harvests resolved futures into responses, enforces per-connection read
 deadlines (slow-loris defense), and ticks the optional elastic
 controller.  Run it inline (``poll()`` in your own loop — deterministic
 tests thread a virtual ``now`` through), or threaded
-(:meth:`start` / :meth:`stop`).
+(:meth:`~repro.serve.tier.ThreadDriven.start` / ``stop``).
 
 Failure semantics at the trust boundary:
 
@@ -33,7 +32,6 @@ from __future__ import annotations
 import json
 import selectors
 import socket
-import threading
 import time
 import traceback
 from dataclasses import dataclass
@@ -42,13 +40,13 @@ import numpy as np
 
 from ..obs.stats import StatBlock
 from ..obs.trace import get_tracer
-from ..serve.cluster import ServingCluster
 from ..serve.queue import (
     DeadlineExceededError,
     QueueFullError,
     ServeError,
     ServerClosedError,
 )
+from ..serve.tier import ThreadDriven
 from .. import _clock
 from .admission import AdmissionController, AdmissionError, QuotaExceededError
 from .protocol import (
@@ -120,11 +118,12 @@ class _Connection:
         self.closed = False
 
 
-class NetServer:
+class NetServer(ThreadDriven):
     """Selectors-based TCP front-end feeding one serving backend.
 
-    ``backend`` is an :class:`~repro.serve.InferenceServer` or
-    :class:`~repro.serve.ServingCluster` run in *driven* mode — the net
+    ``backend`` is any :class:`~repro.serve.tier.ServeTier` (an
+    :class:`~repro.serve.InferenceServer`, a
+    :class:`~repro.serve.ServingCluster`) run in *driven* mode — the net
     loop steps it; do not also ``start()`` the backend.  ``admission``
     (optional) meters tenants before any submit; ``elastic`` (optional,
     cluster backends) is ticked every poll.  ``port=0`` binds an
@@ -142,6 +141,7 @@ class NetServer:
                  backlog: int = 128):
         if read_timeout_s <= 0:
             raise ValueError("read_timeout_s must be > 0")
+        super().__init__()
         self.backend = backend
         self.admission = admission
         self.elastic = elastic
@@ -150,8 +150,6 @@ class NetServer:
         self._configs: dict[str, object] = {}  # config JSON → RunConfig
         self._conns: dict[socket.socket, _Connection] = {}
         self._closed = False
-        self._thread: threading.Thread | None = None
-        self._stop_event = threading.Event()
         self._listen = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listen.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listen.bind((host, port))
@@ -303,10 +301,16 @@ class NetServer:
                 self._respond(conn, pong_response(rid))
             elif msg.kind == "stats":
                 self._respond(conn, stats_reply(rid, self.stats_snapshot()))
-            elif msg.kind == "predict":
-                self._handle_predict(conn, msg, now)
-            elif msg.kind == "mutate":
-                self._handle_mutate(conn, msg, now)
+            elif msg.kind in ("predict", "mutate"):
+                timeout, ctx = self._admit(msg, now)
+                submit = (self._submit_predict if msg.kind == "predict"
+                          else self._submit_mutate)
+                future = submit(msg, self._config_for(msg), timeout, now, ctx)
+                conn.pending.append(_Pending(
+                    request_id=rid, future=future, kind=msg.kind,
+                    tenant=msg.headers["tenant"],
+                    priority=msg.headers["priority"],
+                    received_at=now, trace=ctx))
             else:  # a response kind sent at the server
                 self._respond(conn, error_response(
                     rid, "bad_request",
@@ -383,10 +387,7 @@ class NetServer:
             self._configs[text] = cfg
         return cfg
 
-    def _handle_predict(self, conn: _Connection, msg: Message,
-                        now: float) -> None:
-        timeout, ctx = self._admit(msg, now)
-        config = self._config_for(msg)
+    def _submit_predict(self, msg: Message, config, timeout, now, ctx):
         kwargs = {}
         payload = msg.headers.get("payload")
         if payload in ("nodes", "indices"):
@@ -401,42 +402,22 @@ class NetServer:
             # its authority synchronously (surfaced as bad_request) and
             # a cluster may steer the read to a caught-up replica
             kwargs["min_version"] = int(min_version)
-        future = self.backend.submit(config, timeout=timeout, now=now,
-                                     trace=ctx, **kwargs)
-        conn.pending.append(_Pending(
-            request_id=msg.request_id, future=future, kind="predict",
-            tenant=msg.headers["tenant"], priority=msg.headers["priority"],
-            received_at=now, trace=ctx))
+        return self.backend.submit(config, timeout=timeout, now=now,
+                                   trace=ctx, **kwargs)
 
-    def _handle_mutate(self, conn: _Connection, msg: Message,
-                       now: float) -> None:
+    def _submit_mutate(self, msg: Message, config, timeout, now, ctx):
         from ..stream.delta import GraphDelta
 
-        timeout, ctx = self._admit(msg, now)
-        config = self._config_for(msg)
         if not msg.arrays:
             raise ValueError("mutate request carries no delta payload")
         delta = GraphDelta.from_payload(
             np.asarray(msg.arrays[0], dtype=np.uint8).tobytes())
-        if isinstance(self.backend, ServingCluster):
-            # cluster mutates are broadcasts: the router is the version
-            # authority (client expected_version would be silently
-            # ignored — reject instead) and they carry no deadline (a
-            # half-expired broadcast would leave replicas disagreeing)
-            if msg.headers.get("expected_version") is not None:
-                raise ValueError(
-                    "expected_version is not supported for cluster-backed "
-                    "mutates; the router assigns versions")
-            future = self.backend.submit_delta(config, delta)
-        else:
-            ev = msg.headers.get("expected_version")
-            future = self.backend.submit_delta(
-                config, delta, timeout=timeout, now=now,
-                expected_version=ev, trace=ctx)
-        conn.pending.append(_Pending(
-            request_id=msg.request_id, future=future, kind="mutate",
-            tenant=msg.headers["tenant"], priority=msg.headers["priority"],
-            received_at=now, trace=ctx))
+        # what the optimistic-concurrency guard and the deadline mean
+        # is the backend's call (a cluster rejects the former and does
+        # not apply the latter to a broadcast)
+        return self.backend.submit_delta(
+            config, delta, timeout=timeout, now=now,
+            expected_version=msg.headers.get("expected_version"), trace=ctx)
 
     # -- response side ----------------------------------------------------- #
     def _harvest(self, now: float) -> int:
@@ -500,36 +481,18 @@ class NetServer:
         return out
 
     # -- threaded mode ----------------------------------------------------- #
-    def start(self) -> "NetServer":
-        """Drive the poll loop on a background thread."""
-        if self._thread is not None:
-            raise RuntimeError("net server already started")
-        self._stop_event.clear()
-        self._thread = threading.Thread(target=self._loop,
-                                        name="repro-net", daemon=True)
-        self._thread.start()
-        return self
-
-    def _loop(self) -> None:
-        while not self._stop_event.is_set():
-            try:
-                self.poll(io_timeout_s=0.005)
-            except Exception:
-                # belt-and-braces: _handle already maps per-request
-                # failures to error frames, so anything landing here is a
-                # server bug — survive it rather than silently killing
-                # serving for every connected tenant
-                if self._selector is None:
-                    return  # closed under us
-                traceback.print_exc()
-
-    def stop(self) -> None:
-        """Stop the background poll thread (connections stay open)."""
-        if self._thread is None:
-            return
-        self._stop_event.set()
-        self._thread.join()
-        self._thread = None
+    def _loop_once(self) -> None:
+        try:
+            self.poll(io_timeout_s=0.005)
+        except Exception:
+            # belt-and-braces: _handle already maps per-request
+            # failures to error frames, so anything landing here is a
+            # server bug — survive it rather than silently killing
+            # serving for every connected tenant
+            if self._selector is None:
+                self._stop_event.set()  # closed under us
+                return
+            traceback.print_exc()
 
     # -- lifecycle --------------------------------------------------------- #
     def close(self, drain_timeout_s: float = 10.0) -> None:
@@ -571,9 +534,3 @@ class NetServer:
             self._close_conn(conn, "server_close")
         self._selector.close()
         self._selector = None
-
-    def __enter__(self) -> "NetServer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -18,6 +18,10 @@ warm pool (:mod:`repro.serve.worker`), with heartbeat death detection
 and exactly-once requeue of in-flight work — ``repro serve --workers N``
 and ``repro bench-serve --workers N`` on the CLI.
 
+Both tiers are one :class:`ServeTier` contract
+(:mod:`repro.serve.tier`: intake, exactly-once resolve, driven/threaded
+loop, close order), so callers hold "a tier" and never ask which.
+
 Both tiers accept **online graph mutations** (:mod:`repro.stream`):
 ``submit_delta`` serializes a :class:`~repro.stream.GraphDelta` against
 in-flight micro-batches (single server) or broadcasts it version-guarded
@@ -62,6 +66,7 @@ from .queue import (
     ServerClosedError,
 )
 from .server import InferenceServer, ServerStats
+from .tier import ServeTier, ThreadDriven
 from .worker import (
     InlineWorker,
     ProcessWorker,
@@ -89,6 +94,8 @@ __all__ = [
     "QueueFullError",
     "DeadlineExceededError",
     "ServerClosedError",
+    "ThreadDriven",
+    "ServeTier",
     "InferenceServer",
     "ServerStats",
     "latency_summary",

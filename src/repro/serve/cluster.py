@@ -40,30 +40,22 @@ re-synthesizes broadcast data).
 
 from __future__ import annotations
 
+import itertools
 import pickle
 import threading
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .. import _clock
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..obs.stats import StatBlock
 from ..obs.trace import get_tracer
-from ..obs.trace import set_tracing as _set_process_tracing
 from .batcher import BatchPolicy
 from .pool import PoolStats, config_key, dataset_identity
-from .queue import (
-    DeadlineExceededError,
-    Request,
-    RequestQueue,
-    ServeError,
-    ServeFuture,
-    ServerClosedError,
-)
+from .queue import Request, ServeError, ServeFuture, ServerClosedError
 from .router import NoWorkersError, Router
 from .server import ServerStats
+from .tier import ServeTier
 from .worker import (
     InlineWorker,
     ProcessWorker,
@@ -114,6 +106,7 @@ class _Dispatch:
     ``trace`` is the preallocated dispatch-span context (its wire form
     rides on the unit); ``sent_at`` is when the unit first hit a worker
     pipe, so the span covers ship-to-result including any requeues.
+    ``mutation`` is the broadcast a ``"mutate"`` unit belongs to.
     """
 
     request: Request
@@ -123,6 +116,7 @@ class _Dispatch:
     excluded: set = field(default_factory=set)
     trace: object = None
     sent_at: float = 0.0
+    mutation: "_Mutation | None" = None
 
 
 @dataclass
@@ -141,7 +135,7 @@ class _Mutation:
     error: BaseException | None = None
 
 
-class ServingCluster:
+class ServingCluster(ServeTier):
     """N sharded inference workers behind one submit/step facade.
 
     ``warm_configs`` declares the configs the cluster expects to serve:
@@ -162,9 +156,9 @@ class ServingCluster:
 
     ``backend="process"`` spawns real worker processes;
     ``backend="inline"`` runs protocol-identical in-process workers
-    (deterministic tests, single-process debugging).  The cluster runs
-    *driven* (call :meth:`step` / :meth:`run_until_idle`) or *threaded*
-    (:meth:`start` / :meth:`stop`), mirroring the single server.
+    (deterministic tests, single-process debugging).  Driven and
+    threaded operation, intake and close are the shared
+    :class:`~repro.serve.tier.ServeTier` contract.
 
     ``wal_dir`` turns on durable streaming: one
     :class:`~repro.stream.MutationLog` per served node dataset, with
@@ -203,27 +197,20 @@ class ServingCluster:
         if replicas and wal_dir is None:
             raise ValueError("read replicas tail the WAL; replicas > 0 "
                              "requires wal_dir")
+        super().__init__(ClusterStats(), max_queue_depth)
         self.policy = policy or BatchPolicy()
-        self.queue = RequestQueue(max_depth=max_queue_depth)
-        self.stats = ClusterStats()
         self.heartbeat_interval_s = heartbeat_interval_s
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self._inflight: dict[int, _Dispatch] = {}
-        self._mutations: dict[int, _Mutation] = {}  # unit id → broadcast
         self._dataset_versions: dict[tuple, int] = {}  # dataset id → version
         self._config_json: dict[str, str] = {}
         self._stats_replies: dict[int, dict[str, dict]] = {}
-        self._next_id = 0
-        self._next_seq = 0
-        self._closed = False
-        self._submit_lock = threading.Lock()
+        self._seq = itertools.count(1)  # ping / stats round-trip ids
         # serializes pipe reads + _inflight/router mutation between the
         # start() router thread and direct callers (stats_snapshot, a
         # driven step from another thread); reentrant because close()
         # and run_until_idle() nest through step()
         self._lock = threading.RLock()
-        self._thread: threading.Thread | None = None
-        self._stop_event = threading.Event()
 
         # shared-store mode: configs covered by a store ship only the
         # directory path (O(manifest) bytes per worker); each worker
@@ -359,21 +346,14 @@ class ServingCluster:
 
     def _replay_wal_pending(self) -> None:
         """Re-broadcast WAL records past each dataset's base version."""
-        replayed = False
         for ds_id, log in self._wals.items():
             base = self._dataset_versions.get(ds_id, 0)
-            pending = log.records(after_version=base)
-            if not pending:
-                self._dataset_versions[ds_id] = max(base, log.last_version)
-                continue
-            config = self._wal_configs[ds_id]
             with self._lock:
-                for version, delta in pending:
-                    self._broadcast_delta(config, delta, version)
-                    self._dataset_versions[ds_id] = version
-            replayed = True
-        if replayed:
-            self.run_until_idle()
+                for version, delta in log.records(after_version=base):
+                    self._broadcast_delta(self._wal_configs[ds_id], delta,
+                                          version)
+            self._dataset_versions[ds_id] = max(base, log.last_version)
+        self.run_until_idle()
 
     def _make_worker(self, wid: str, wal_tails: tuple = ()):
         """Build one worker handle from the stored birth template."""
@@ -425,20 +405,9 @@ class ServingCluster:
                 return False  # never retire the last worker
             self.router.mark_dead(wid)
             self.stats.bump("workers_retired")
-            orphans = [d for d in self._inflight.values()
-                       if d.worker_id == wid]
-            for dispatch in orphans:
-                dispatch.excluded.add(wid)
-                dispatch.attempts += 1
-                if self._send_unit(dispatch):
-                    self.stats.bump("requeued")
-                else:
-                    self._inflight.pop(dispatch.request.id, None)
+            self._requeue_orphans(wid)
             self._ping_outstanding.pop(wid, None)
-            try:
-                self.workers[wid].send(("shutdown",))
-            except (BrokenPipeError, OSError):
-                pass
+            self._send(wid, ("shutdown",))
         return True
 
     def pending(self) -> int:
@@ -475,81 +444,10 @@ class ServingCluster:
                      for cfg, ds in loaded.values())
 
     # -- intake ----------------------------------------------------------- #
-    def submit(self, config, nodes: np.ndarray | None = None,
-               indices: np.ndarray | None = None,
-               timeout: float | None = None,
-               now: float | None = None,
-               trace=None,
-               min_version: int | None = None):
-        """Enqueue one request; returns its future (server-identical API).
-
-        Deadlines (``timeout`` seconds from submission) are enforced on
-        the router side: an expired request is rejected at dispatch time
-        and never crosses a worker pipe.  Raises
-        :class:`~repro.serve.queue.QueueFullError` (backpressure) or
-        :class:`~repro.serve.queue.ServerClosedError` synchronously.
-        ``trace`` parents the request's span under an existing context
-        (e.g. a network front-end's per-request span).
-
-        ``min_version`` pins the read to a graph version: rejected
-        synchronously (``ValueError``) when it is ahead of the version
-        authority, otherwise eligible for **replica steering** — a read
-        replica whose last-reported version satisfies the pin serves
-        it; with no caught-up replica the ring primary (always at the
-        authority version) does.
-        """
-        now = _clock.now() if now is None else now
-        kind = "nodes" if config.data.task_kind == "node" else "graphs"
-        if min_version is not None:
-            min_version = int(min_version)
-            if min_version < 0:
-                raise ValueError(
-                    f"min_version must be non-negative, got {min_version}")
-            if kind != "nodes":
-                raise ValueError(
-                    "min_version applies to node-level configs (graph-"
-                    "level datasets are frozen)")
-            authority = self.graph_version(config)
-            if min_version > authority:
-                raise ValueError(
-                    f"min_version {min_version} is ahead of the version "
-                    f"authority {authority}")
-        if kind == "nodes" and indices is not None:
-            raise ValueError("indices= applies to graph-level configs; "
-                             "use nodes= for node-level configs")
-        if kind == "graphs" and nodes is not None:
-            raise ValueError("nodes= applies to node-level configs; "
-                             "use indices= for graph-level configs")
-        if nodes is not None:
-            nodes = np.asarray(nodes, dtype=np.int64)
-        if indices is not None:
-            indices = np.asarray(indices, dtype=np.int64)
-        key = config_key(config)
-        if key not in self._config_json:
-            self._config_json[key] = config.to_json()
-        with self._submit_lock:
-            if self._closed:
-                raise ServerClosedError(
-                    "cluster is closed; submissions rejected")
-            request = Request(
-                id=self._next_id, config=config, config_key=key,
-                kind=kind, nodes=nodes, indices=indices,
-                deadline=None if timeout is None else now + timeout,
-                min_version=min_version,
-            )
-            tracer = get_tracer()
-            if tracer.enabled:
-                request.trace = tracer.new_context(parent=trace)
-            self._next_id += 1
-            try:
-                self.queue.push(request, now=now)
-            except Exception:
-                self.stats.bump("rejected")
-                raise
-        self.stats.bump("submitted")
-        return request.future
-
-    def submit_delta(self, config, delta):
+    def submit_delta(self, config, delta, timeout: float | None = None,
+                     now: float | None = None,
+                     expected_version: int | None = None,
+                     trace=None, strict_version: bool = False) -> ServeFuture:
         """Broadcast a :class:`~repro.stream.GraphDelta` to the fleet.
 
         The router is the version authority: it assigns the delta the
@@ -567,9 +465,15 @@ class ServingCluster:
         its unit requeued (exactly once, like any in-flight unit) to a
         survivor, where the ``expected_version`` guard turns the
         redelivery into a no-op ack — a delta is never applied twice.
-        Mutations carry no deadline (a half-expired broadcast would
-        leave replicas disagreeing); bound the *wait* with
-        ``future.result(timeout=…)`` instead.
+
+        The single server's signature, read by a router: a client
+        ``expected_version`` is rejected (``ValueError`` — the router
+        assigns versions, and silently dropping the guard would be
+        worse), and a broadcast carries **no deadline** — ``timeout``
+        is not applied, because a half-expired broadcast would leave
+        replicas disagreeing; bound the *wait* with
+        ``future.result(timeout=…)`` instead.  ``strict_version`` has
+        nothing to tighten: router versions are contiguous.
 
         With a ``wal_dir`` configured the router is also the **log
         writer**: the delta is fsynced into the dataset's
@@ -577,15 +481,14 @@ class ServingCluster:
         (append-then-broadcast), so a router crash after the append
         re-broadcasts the delta on restart instead of losing it.
         """
-        if config.data.task_kind != "node":
+        self._require_node_config(config)
+        if expected_version is not None:
             raise ValueError(
-                "submit_delta supports node-level configs; graph-level "
-                "datasets are collections of independent frozen graphs")
-        now = _clock.now()
+                "expected_version is not supported for cluster-backed "
+                "mutates; the router assigns versions")
+        now = _clock.now() if now is None else now
         with self._submit_lock:
-            if self._closed:
-                raise ServerClosedError(
-                    "cluster is closed; submissions rejected")
+            self._check_open()
         with self._lock:
             # ship the queue first: the mutation must land after every
             # request submitted before it, on every worker pipe
@@ -596,64 +499,63 @@ class ServingCluster:
             mirror = (self._wal_mirrors.get(ds_id) if log is not None
                       else None)
             if mirror is not None:
-                # refuse an unapplyable delta *before* it becomes
-                # durable — a poisoned record would fail on every
-                # worker and on every replay of this log
-                delta.validate(mirror)
-            if log is not None:
-                # append-then-broadcast: once the record is fsynced,
-                # the delta survives a router crash even if no worker
-                # saw it — the restart replays it from here
+                from ..stream.wal import log_apply
+
+                try:
+                    log_apply(log, mirror, delta, version)
+                except Exception:
+                    if log.last_version != version:
+                        # refused before it became durable (a delta that
+                        # cannot apply must never poison the log):
+                        # nothing was assigned, nothing ships
+                        raise
+                    # the record is durable and will re-broadcast on
+                    # restart; a mirror that failed mid-apply can no
+                    # longer cut trustworthy snapshots — retire it
+                    self._wal_mirrors.pop(ds_id, None)
+            elif log is not None:
+                # append-then-broadcast with no mirror to validate
+                # against: once the record is fsynced, the delta
+                # survives a router crash even if no worker saw it —
+                # the restart replays it from here
                 log.append(delta, version)
             # the version authority advances with the append no matter
             # what happens downstream, so the counter and the log stay
             # contiguous and later submissions keep flowing
             self._dataset_versions[ds_id] = version
-            if mirror is not None:
-                from ..stream.apply import apply_delta as _apply
-
-                try:
-                    _apply(mirror, delta)
-                    log.maybe_snapshot(mirror)
-                except Exception:
-                    # the record is durable and will re-broadcast on
-                    # restart; a mirror that failed mid-apply can no
-                    # longer cut trustworthy snapshots — retire it
-                    self._wal_mirrors.pop(ds_id, None)
             return self._broadcast_delta(config, delta, version, now=now)
+
+    def _config_json_for(self, request: Request) -> str:
+        """The request's canonical config JSON, serialized once per key."""
+        text = self._config_json.get(request.config_key)
+        if text is None:
+            text = self._config_json[request.config_key] = \
+                request.config.to_json()
+        return text
 
     def _broadcast_delta(self, config, delta, version: int,
                          now: float | None = None) -> ServeFuture:
         """Fan one versioned delta out to every ring worker (hold _lock)."""
-        key = config_key(config)
-        if key not in self._config_json:
-            self._config_json[key] = config.to_json()
         outer = ServeFuture()
         payload = delta.to_payload()
         now = _clock.now() if now is None else now
         mutation = _Mutation(future=outer, version=version)
+        key = config_key(config)
         for wid in list(self.router.workers()):
-            with self._submit_lock:
-                uid = self._next_id
-                self._next_id += 1
-            unit = WorkUnit(id=uid, config_json=self._config_json[key],
+            request = Request(
+                id=next(self._ids), config=config, config_key=key,
+                kind="mutate", delta=delta, expected_version=version)
+            request.enqueued_at = now
+            unit = WorkUnit(id=request.id,
+                            config_json=self._config_json_for(request),
                             kind="mutate", payload=payload,
                             expected_version=version)
-            request = Request(
-                id=uid, config=config, config_key=key, kind="mutate",
-                delta=delta, expected_version=version)
-            request.enqueued_at = now
-            try:
-                self.workers[wid].send(("work", unit))
-            except (BrokenPipeError, OSError):
-                self._declare_dead(wid)
+            if not self._send(wid, ("work", unit)):
                 continue
             self.router.assign(wid)
-            dispatch = _Dispatch(request=request, unit=unit,
-                                 worker_id=wid)
-            self._inflight[uid] = dispatch
-            self._mutations[uid] = mutation
-            mutation.pending.add(uid)
+            self._inflight[request.id] = _Dispatch(
+                request=request, unit=unit, worker_id=wid, mutation=mutation)
+            mutation.pending.add(request.id)
         self.stats.bump("mutations")
         if not mutation.pending:
             outer.set_exception(NoWorkersError(
@@ -665,13 +567,11 @@ class ServingCluster:
         """The router-side version of the config's dataset (0 = as loaded)."""
         return self._dataset_versions.get(dataset_identity(config), 0)
 
-    def _settle_mutation(self, unit_id: int,
+    def _settle_mutation(self, dispatch: _Dispatch,
                          error: BaseException | None = None) -> None:
         """Record one mutate-unit outcome; resolve the broadcast when done."""
-        mutation = self._mutations.pop(unit_id, None)
-        if mutation is None:
-            return
-        mutation.pending.discard(unit_id)
+        mutation = dispatch.mutation
+        mutation.pending.discard(dispatch.request.id)
         if error is not None and mutation.error is None:
             mutation.error = error
         if mutation.pending or mutation.future.done():
@@ -699,28 +599,13 @@ class ServingCluster:
             self._dispatch(now)
         return done
 
-    def run_until_idle(self, now: float | None = None,
-                       timeout_s: float = 300.0) -> int:
-        """Step until nothing is queued or in flight; returns completions.
+    def _drain_round(self, now: float | None) -> int:
+        return self.step(now=now)
 
-        The ``timeout_s`` watchdog is a real-time liveness bound, so it
-        stays on the wall clock even when a fake serving clock is
-        injected — a frozen :class:`~repro.serve.ManualClock` must not
-        turn a hung worker into an infinite spin.
-        """
-        deadline = time.monotonic() + timeout_s
-        done = 0
-        while len(self.queue) or self._inflight:
-            progressed = self.step(now=now)
-            done += progressed
-            if time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"cluster not idle after {timeout_s}s "
-                    f"({len(self._inflight)} in flight, "
-                    f"{len(self.queue)} queued)")
-            if not progressed and self._inflight:
-                time.sleep(0.001)  # waiting on worker pipes
-        return done
+    def _loop_once(self) -> None:
+        self.step()
+        if not self.pending():
+            self.queue.wait_nonempty(timeout=0.05)
 
     def _dispatch(self, now: float | None) -> None:
         self._maybe_ping()
@@ -735,7 +620,7 @@ class ServingCluster:
                 dispatch_ctx = tracer.new_context(parent=request.trace)
             unit = WorkUnit(
                 id=request.id,
-                config_json=self._config_json[request.config_key],
+                config_json=self._config_json_for(request),
                 kind=request.kind,
                 payload=self._pack_payload(request),
                 trace=(None if dispatch_ctx is None
@@ -766,10 +651,7 @@ class ServingCluster:
             >= request.min_version]
         while candidates:
             rid = min(candidates, key=lambda r: self._replica_load.get(r, 0))
-            try:
-                self.workers[rid].send(("work", dispatch.unit))
-            except (BrokenPipeError, OSError):
-                self._declare_dead(rid)
+            if not self._send(rid, ("work", dispatch.unit)):
                 dispatch.excluded.add(rid)
                 candidates.remove(rid)
                 continue
@@ -786,6 +668,20 @@ class ServingCluster:
         arr = request.nodes if request.kind == "nodes" else request.indices
         return None if arr is None else pack_array(arr)
 
+    def _send(self, wid: str, msg) -> bool:
+        """Ship one pipe message; False when the worker is gone.
+
+        The only place a worker pipe is written: a broken pipe is a
+        death, so the worker is declared dead (its in-flight units
+        requeue) and the caller just sees that nothing was delivered.
+        """
+        try:
+            self.workers[wid].send(msg)
+        except (BrokenPipeError, OSError):
+            self._declare_dead(wid)
+            return False
+        return True
+
     def _send_unit(self, dispatch: _Dispatch) -> bool:
         """Route + ship one unit, failing over past broken workers.
 
@@ -796,29 +692,19 @@ class ServingCluster:
                 wid = self.router.route(dispatch.request.config_key,
                                         excluded=dispatch.excluded)
             except NoWorkersError as exc:
-                if not dispatch.request.future.done():
-                    dispatch.request.future.set_exception(exc)
-                if dispatch.request.kind == "mutate":
+                if dispatch.mutation is not None:
                     # the broadcast's failure is counted once, when the
                     # outer future settles — not once per dead unit
-                    self._settle_mutation(dispatch.request.id, error=exc)
+                    self._settle_mutation(dispatch, error=exc)
                 else:
-                    self.stats.bump("failed")
+                    self._resolve(dispatch.request, _clock.now(), error=exc)
                 return False
-            try:
-                self.workers[wid].send(("work", dispatch.unit))
-            except (BrokenPipeError, OSError):
-                self.router.complete(wid)  # undo the route's assignment
-                self._declare_dead(wid)
+            if not self._send(wid, ("work", dispatch.unit)):
+                # (the route's in-flight slot went with the dead worker)
                 dispatch.excluded.add(wid)
                 continue
             dispatch.worker_id = wid
             return True
-
-    def _on_expired(self, request: Request) -> None:
-        # fired by queue.drain: the deadline passed while still queued,
-        # so the request is rejected before any worker sees it
-        self.stats.bump("expired")
 
     # -- receive side ----------------------------------------------------- #
     def _receive(self, now: float | None = None) -> int:
@@ -887,56 +773,27 @@ class ServingCluster:
                 0, self._replica_load[dispatch.worker_id] - 1)
         self.router.complete(dispatch.worker_id)
         request = dispatch.request
-        if request.kind == "mutate":
-            # one worker's ack (or error) for a delta broadcast: settle
-            # the inner future, advance the broadcast's pending set
-            error = (None if result.ok else ServeError(
-                f"worker {result.worker_id} failed to apply delta "
-                f"{request.id}: {result.error}"))
-            if not request.future.done():
-                if error is None:
-                    request.future.set_result(
-                        int(result.value()),
-                        graph_version=request.expected_version)
-                else:
-                    request.future.set_exception(error)
-            self._settle_mutation(request.id, error=error)
-            return 0
-        if request.future.done():
+        if dispatch.mutation is not None:
+            # one worker's ack (or error) for a delta broadcast: advance
+            # the broadcast's pending set; its outer future settles last
+            self._settle_mutation(dispatch, error=None if result.ok else (
+                ServeError(f"worker {result.worker_id} failed to apply "
+                           f"delta {request.id}: {result.error}")))
             return 0
         now = _clock.now() if now is None else now
-        if request.expired(now):
-            request.future.set_exception(DeadlineExceededError(
-                f"request {request.id} completed after its deadline; "
-                "result dropped"))
-            request.future.resolved_at = now
-            self.stats.bump("expired")
-            return 1
+        if dispatch.trace is not None and not request.future.done():
+            # preallocated at dispatch, so it precedes the request's
+            # closing spans in the buffer and parents the worker's
+            tracer.record("dispatch", dispatch.sent_at, now,
+                          ctx=dispatch.trace,
+                          attrs={"worker": result.worker_id,
+                                 "attempts": dispatch.attempts})
         if not result.ok:
-            request.future.set_exception(
-                ServeError(f"worker {result.worker_id} failed request "
-                           f"{result.id}: {result.error}"))
-            request.future.resolved_at = now
-            self.stats.bump("failed")
-            return 1
-        request.future.set_result(result.value(),
-                                  graph_version=result.graph_version)
-        request.future.resolved_at = now
-        self.stats.bump("completed")
-        self.stats.record_latency(now - request.enqueued_at)
-        if tracer.enabled and request.trace is not None:
-            if dispatch.trace is not None:
-                tracer.record("dispatch", dispatch.sent_at, now,
-                              ctx=dispatch.trace,
-                              attrs={"worker": result.worker_id,
-                                     "attempts": dispatch.attempts})
-            tracer.record("queue_wait", request.enqueued_at,
-                          request.drained_at or request.enqueued_at,
-                          parent=request.trace)
-            tracer.record("request", request.enqueued_at, now,
-                          ctx=request.trace,
-                          attrs={"id": request.id, "kind": request.kind})
-        return 1
+            return self._resolve(request, now, error=ServeError(
+                f"worker {result.worker_id} failed request "
+                f"{result.id}: {result.error}"))
+        return self._resolve(request, now, value=result.value(),
+                             version=result.graph_version)
 
     def _ingest_replica_versions(self, wid: str, versions: dict) -> None:
         """Fold a replica pong's per-config versions into the lag view."""
@@ -969,12 +826,9 @@ class ServingCluster:
         return max(0, max(lags)) if lags else None
 
     def wal_for(self, config):
-        """The :class:`~repro.stream.MutationLog` backing ``config``.
-
-        ``None`` when the cluster has no ``wal_dir`` or the config's
-        dataset is not logged.  The CLI uses it to surface log depth
-        and cut on-demand snapshots.
-        """
+        """The per-dataset :class:`~repro.stream.MutationLog` backing
+        ``config`` (``None`` without a ``wal_dir`` or for an unlogged
+        dataset)."""
         return self._wals.get(dataset_identity(config))
 
     # -- worker health ---------------------------------------------------- #
@@ -987,19 +841,11 @@ class ServingCluster:
         if wall - self._last_ping < self.heartbeat_interval_s:
             return
         self._last_ping = wall
-        seq = self._bump_seq()
+        seq = next(self._seq)
         for wid in self._heartbeat_targets():
-            try:
-                self.workers[wid].send(("ping", seq))
-            except (BrokenPipeError, OSError):
-                self._declare_dead(wid)
-                continue
-            if self._ping_outstanding.get(wid) is None:
+            if (self._send(wid, ("ping", seq))
+                    and self._ping_outstanding.get(wid) is None):
                 self._ping_outstanding[wid] = wall
-
-    def _bump_seq(self) -> int:
-        self._next_seq += 1
-        return self._next_seq
 
     def _check_workers(self) -> None:
         wall = _clock.now()
@@ -1018,6 +864,15 @@ class ServingCluster:
         self._dead.add(wid)
         self.stats.bump("worker_deaths")
         self.router.mark_dead(wid)
+        self._requeue_orphans(wid)
+
+    def _requeue_orphans(self, wid: str) -> None:
+        """Re-dispatch every unit in flight on ``wid``, excluding it.
+
+        The one exactly-once path a departing worker's work takes,
+        whether it died or was retired: late results from ``wid`` for a
+        unit answered elsewhere hit the at-most-once guard.
+        """
         orphans = [d for d in self._inflight.values() if d.worker_id == wid]
         for dispatch in orphans:
             dispatch.excluded.add(wid)
@@ -1026,32 +881,6 @@ class ServingCluster:
                 self.stats.bump("requeued")
             else:
                 self._inflight.pop(dispatch.request.id, None)
-
-    # -- threaded mode ---------------------------------------------------- #
-    def start(self) -> "ServingCluster":
-        """Run the routing loop on a background thread."""
-        if self._thread is not None:
-            raise RuntimeError("cluster already started")
-        self._stop_event.clear()
-        self._thread = threading.Thread(target=self._router_loop,
-                                        name="repro-serve-router", daemon=True)
-        self._thread.start()
-        return self
-
-    def _router_loop(self) -> None:
-        while not self._stop_event.is_set():
-            self.step()
-            if not len(self.queue) and not self._inflight:
-                self.queue.wait_nonempty(timeout=0.05)
-        self.run_until_idle()
-
-    def stop(self) -> None:
-        """Stop the router thread, draining everything pending."""
-        if self._thread is None:
-            return
-        self._stop_event.set()
-        self._thread.join()
-        self._thread = None
 
     # -- observability ---------------------------------------------------- #
     def set_tracing(self, enabled: bool) -> None:
@@ -1063,17 +892,14 @@ class ServingCluster:
         so the toggle lands between batches); inline workers share this
         process's tracer and are covered by the local switch alone.
         """
-        _set_process_tracing(enabled)
+        super().set_tracing(enabled)
         with self._lock:
             for wid in self._heartbeat_targets():
-                try:
-                    self.workers[wid].send(("trace", bool(enabled)))
-                except (BrokenPipeError, OSError):
-                    self._declare_dead(wid)
+                self._send(wid, ("trace", bool(enabled)))
 
-    def trace_spans(self, trace_id: str | None = None):
-        """Buffered spans router-side (see :meth:`~repro.obs.Tracer.spans`)."""
-        return get_tracer().spans(trace_id)
+    def obs_snapshot(self) -> dict:
+        """The fleet-merged registry: every worker's plus the router's."""
+        return self.stats_snapshot()["obs"]
 
     # -- stats ------------------------------------------------------------ #
     def stats_snapshot(self, timeout_s: float = 5.0) -> dict:
@@ -1094,14 +920,11 @@ class ServingCluster:
              "workers_alive": N, "obs": {merged registry...}}
         """
         with self._lock:
-            seq = self._bump_seq()
+            seq = next(self._seq)
             live = self._heartbeat_targets()
             replies = self._stats_replies.setdefault(seq, {})
             for wid in live:
-                try:
-                    self.workers[wid].send(("stats", seq))
-                except (BrokenPipeError, OSError):
-                    self._declare_dead(wid)
+                self._send(wid, ("stats", seq))
         # real-time liveness bound: stays on the wall clock even under
         # an injected fake serving clock (see run_until_idle)
         deadline = time.monotonic() + timeout_s
@@ -1109,11 +932,8 @@ class ServingCluster:
             with self._lock:
                 self._receive()
                 self._check_workers()
-                expected = [w for w in live
-                            if w in self.router.workers()
-                            or (w in self.replica_ids
-                                and w not in self._dead)]
-                if all(w in replies for w in expected):
+                if all(w in replies for w in self._heartbeat_targets()
+                       if w in live):
                     break
             time.sleep(0.001)
         with self._lock:
@@ -1154,32 +974,15 @@ class ServingCluster:
         return snap
 
     # -- lifecycle -------------------------------------------------------- #
-    def close(self) -> None:
-        """Drain pending work, shut every worker down, reap processes."""
-        with self._submit_lock:
-            self._closed = True
-        if self._thread is not None:
-            self.stop()
-        try:
-            self.run_until_idle(timeout_s=60.0)
-        except TimeoutError:
-            pass  # dead workers already failed their futures
-        for wid, handle in self.workers.items():
-            if wid in self._dead:
-                continue
-            try:
-                handle.send(("shutdown",))
-            except (BrokenPipeError, OSError):
-                pass
-        for wid, handle in self.workers.items():
+    def _teardown(self) -> None:
+        """Shut every worker down, reap processes, close the logs."""
+        with self._lock:
+            for wid in list(self.workers):
+                if wid not in self._dead:
+                    self._send(wid, ("shutdown",))
+        for handle in self.workers.values():
             handle.join(timeout=5.0)
             if handle.alive():
                 handle.terminate()
         for log in self._wals.values():
             log.close()
-
-    def __enter__(self) -> "ServingCluster":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

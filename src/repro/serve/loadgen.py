@@ -150,23 +150,32 @@ def _payload_kwargs(config, payload) -> dict:
     return {"indices": payload}
 
 
-def run_closed_loop(server: InferenceServer, config, payloads,
-                    concurrency: int = 8) -> LoadReport:
-    """Windows of ``concurrency`` in-flight requests, wall-clock timed."""
+def _windowed_submit(tier, requests, concurrency: int,
+                     mode: str) -> LoadReport:
+    """Closed loop over ``(config, payload)`` pairs on any serving
+    tier: submit a window, drain, collect; wall-clock timed."""
+    requests = list(requests)
     results = []
     t0 = _clock.now()
-    for lo in range(0, len(payloads), concurrency):
-        futures = [server.submit(config, **_payload_kwargs(config, p))
-                   for p in payloads[lo:lo + concurrency]]
-        server.run_until_idle()
+    for lo in range(0, len(requests), concurrency):
+        futures = [tier.submit(config, **_payload_kwargs(config, payload))
+                   for config, payload in requests[lo:lo + concurrency]]
+        tier.run_until_idle()
         results.extend(f.result(timeout=60.0) for f in futures)
     duration = _clock.now() - t0
-    return LoadReport(mode="closed", num_requests=len(payloads),
+    return LoadReport(mode=mode, num_requests=len(requests),
                       duration_s=duration, completed=len(results),
                       results=results)
 
 
-def run_open_loop(server: InferenceServer, config, payloads,
+def run_closed_loop(server, config, payloads,
+                    concurrency: int = 8) -> LoadReport:
+    """Windows of ``concurrency`` in-flight requests, wall-clock timed."""
+    return _windowed_submit(server, ((config, p) for p in payloads),
+                            concurrency, "closed")
+
+
+def run_open_loop(server, config, payloads,
                   rate_rps: float, seed: int = 0,
                   timeout: float | None = None) -> LoadReport:
     """Poisson arrivals at ``rate_rps`` on a virtual clock (deterministic).
@@ -369,17 +378,8 @@ def run_cluster_closed_loop(cluster, configs, picks,
     the workload where warm-session capacity — the thing sharding
     scales — dominates.  Wall-clock timed.
     """
-    results = []
-    t0 = _clock.now()
-    for lo in range(0, len(picks), concurrency):
-        futures = [cluster.submit(configs[int(i)])
-                   for i in picks[lo:lo + concurrency]]
-        cluster.run_until_idle()
-        results.extend(f.result(timeout=60.0) for f in futures)
-    duration = _clock.now() - t0
-    return LoadReport(mode="cluster-closed", num_requests=len(picks),
-                      duration_s=duration, completed=len(results),
-                      results=results)
+    return _windowed_submit(cluster, ((configs[int(i)], None) for i in picks),
+                            concurrency, "cluster-closed")
 
 
 def run_churn_loop(backend, config, deltas,
@@ -461,10 +461,8 @@ def compare_cluster_scaling(configs, num_workers: int = 2,
         with ServingCluster(num_workers=workers, warm_configs=configs,
                             datasets=datasets, pool_size=pool_size,
                             policy=policy, backend=backend) as cluster:
-            warm = [cluster.submit(cfg) for cfg in configs]
-            cluster.run_until_idle()
-            for f in warm:
-                f.result(timeout=60.0)
+            _windowed_submit(cluster, ((cfg, None) for cfg in configs),
+                             len(configs), "warm-up")
             report = run_cluster_closed_loop(cluster, configs, picks,
                                              concurrency=concurrency)
             snap = cluster.stats_snapshot()

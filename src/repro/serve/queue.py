@@ -20,6 +20,7 @@ between caller threads and the server's worker loop.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -134,10 +135,9 @@ class Request:
     """One enqueued inference request.
 
     ``config_key`` is the :func:`~repro.serve.pool.config_key` hash of the
-    request's :class:`~repro.api.RunConfig`; ``graph_key`` identifies the
-    graph being queried (the whole dataset graph, or the hash of the
-    requested node set) — together they form the micro-batcher's
-    coalescing key.  ``kind`` is ``"nodes"`` (node-level logits),
+    request's :class:`~repro.api.RunConfig` — with the queried graph's
+    identity it forms the micro-batcher's coalescing key
+    (:attr:`batch_key`).  ``kind`` is ``"nodes"`` (node-level logits),
     ``"graphs"`` (per-graph outputs for ``indices``), or ``"mutate"``
     (a :class:`~repro.stream.GraphDelta` application, carried in
     ``delta``).  ``deadline`` is an absolute serving-clock timestamp
@@ -156,7 +156,6 @@ class Request:
     kind: str
     nodes: np.ndarray | None = None
     indices: np.ndarray | None = None
-    graph_key: str = "full-graph"
     enqueued_at: float = 0.0
     deadline: float | None = None
     future: ServeFuture = field(default_factory=ServeFuture)
@@ -169,8 +168,15 @@ class Request:
 
     @property
     def batch_key(self) -> tuple[str, str, str]:
-        """The micro-batching coalescing key (config × kind × graph)."""
-        return (self.config_key, self.kind, self.graph_key)
+        """The micro-batching coalescing key (config × kind × graph).
+
+        The graph is the full dataset graph or this exact node array
+        (values *and* order are hashed) — requests coalesce only when
+        their answers are bitwise interchangeable.
+        """
+        graph = ("full-graph" if self.nodes is None else
+                 hashlib.sha1(self.nodes.tobytes()).hexdigest()[:16])
+        return (self.config_key, self.kind, graph)
 
     def expired(self, now: float) -> bool:
         """Whether the deadline (if any) has passed at time ``now``.

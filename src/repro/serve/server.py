@@ -16,19 +16,16 @@ requests are exploded into per-graph work units, deduplicated, and
 bucketed by sequence length so one batch never pads small graphs to a
 pathological length.
 
-The server runs in two modes: *driven* (call :meth:`step` /
-:meth:`run_until_idle` yourself — deterministic, what the tests, the
-load generator and the benchmarks use) and *threaded*
-(:meth:`start` / :meth:`stop` — a background worker drains the queue
-with ``max_wait_s``-bounded sleeps).  Every request's latency and every
-batch's occupancy land in :class:`ServerStats`, exposed as a
-:meth:`stats` snapshot dict.
+Intake, the exactly-once resolve, the driven/threaded loop and the
+close order are the shared :class:`~repro.serve.tier.ServeTier`
+contract; this module adds what is particular to a single server —
+batching, execution and the mutation serialization point.  Every
+request's latency and every batch's occupancy land in
+:class:`ServerStats`, exposed by :meth:`InferenceServer.stats_snapshot`.
 """
 
 from __future__ import annotations
 
-import hashlib
-import threading
 from contextlib import nullcontext
 
 import numpy as np
@@ -39,14 +36,9 @@ from ..obs.metrics import get_registry
 from ..obs.stats import StatBlock
 from ..obs.trace import get_tracer
 from .batcher import BatchPolicy, MicroBatch, MicroBatcher, seq_len_bucket
-from .pool import SessionPool, config_key
-from .queue import (
-    DeadlineExceededError,
-    Request,
-    RequestQueue,
-    ServeFuture,
-    ServerClosedError,
-)
+from .pool import SessionPool
+from .queue import Request, ServeFuture
+from .tier import ServeTier
 
 __all__ = ["ServerStats", "InferenceServer"]
 
@@ -129,106 +121,24 @@ class _GraphScatter:
         return self.remaining == 0
 
 
-class InferenceServer:
+class InferenceServer(ServeTier):
     """Batched inference serving over warm :class:`~repro.api.Session`\\ s."""
 
     def __init__(self, pool: SessionPool | None = None,
                  policy: BatchPolicy | None = None,
                  max_queue_depth: int = 256, wal=None):
+        super().__init__(ServerStats(), max_queue_depth)
         # explicit None check: an *empty* SessionPool is falsy (len 0),
         # and replacing an injected-but-empty pool would silently drop
         # its seeded datasets and checkpoint registrations
         self.pool = pool if pool is not None else SessionPool()
-        # optional MutationLog: every applied delta is appended (write-
-        # ahead) and snapshotted at the log's cadence.  Skipped when the
-        # session or its dataset already self-logs through the same log.
+        # optional MutationLog: every applied delta is committed through
+        # it (validate, append, apply, snapshot at the log's cadence)
         self.wal = wal
         self.policy = policy or BatchPolicy()
-        self.queue = RequestQueue(max_depth=max_queue_depth)
         self.batcher = MicroBatcher(self.policy)
-        self.stats = ServerStats()
-        self._next_id = 0
-        self._closed = False
-        self._thread: threading.Thread | None = None
-        self._stop_event = threading.Event()
-        self._submit_lock = threading.Lock()
 
     # -- intake ----------------------------------------------------------- #
-    def submit(self, config, nodes: np.ndarray | None = None,
-               indices: np.ndarray | None = None,
-               timeout: float | None = None,
-               now: float | None = None, trace=None,
-               min_version: int | None = None) -> ServeFuture:
-        """Enqueue one inference request; returns its future immediately.
-
-        Node-level configs take ``nodes`` (a node-id array; ``None`` =
-        full-graph logits), graph-level configs take ``indices`` (graph
-        ids; ``None`` = every graph) — the same contract as
-        :meth:`repro.api.Session.predict`.  ``timeout`` (seconds from
-        submission) sets the request deadline: a request still queued
-        past it resolves with :class:`DeadlineExceededError` instead of
-        executing.  Raises :class:`~repro.serve.queue.QueueFullError`
-        (backpressure) or :class:`ServerClosedError` synchronously.
-
-        ``trace`` optionally parents the request's trace under an
-        upstream :class:`~repro.obs.TraceContext` (the cluster router's
-        dispatch span, when the request crossed a process boundary).
-
-        ``min_version`` pins the read to a graph version: the request
-        is rejected synchronously (``ValueError``) if the served
-        dataset has not reached it — a single server always serves the
-        newest version, so a satisfiable pin is a no-op here; the
-        cluster tier uses the same field to steer reads to replicas.
-        """
-        now = _clock.now() if now is None else now
-        kind = "nodes" if config.data.task_kind == "node" else "graphs"
-        if min_version is not None:
-            min_version = int(min_version)
-            if min_version < 0:
-                raise ValueError(
-                    f"min_version must be non-negative, got {min_version}")
-            current = self.graph_version(config)
-            if min_version > current:
-                raise ValueError(
-                    f"min_version {min_version} is ahead of the served "
-                    f"graph_version {current}")
-        if kind == "nodes" and indices is not None:
-            raise ValueError("indices= applies to graph-level configs; "
-                             "use nodes= for node-level configs")
-        if kind == "graphs" and nodes is not None:
-            raise ValueError("nodes= applies to node-level configs; "
-                             "use indices= for graph-level configs")
-        if nodes is not None:
-            nodes = np.asarray(nodes, dtype=np.int64)
-        if indices is not None:
-            indices = np.asarray(indices, dtype=np.int64)
-        # the closed check and the push are one atomic step: close() sets
-        # _closed under this lock and then drains, so a request can never
-        # slip into the queue after the final drain and hang its future
-        with self._submit_lock:
-            if self._closed:
-                raise ServerClosedError(
-                    "server is closed; submissions rejected")
-            request = Request(
-                id=self._next_id, config=config,
-                config_key=config_key(config),
-                kind=kind, nodes=nodes, indices=indices,
-                graph_key=self._graph_key(nodes),
-                deadline=None if timeout is None else now + timeout,
-                min_version=min_version,
-            )
-            tracer = get_tracer()
-            if tracer.enabled:
-                request.trace = tracer.new_context(parent=trace)
-            self._next_id += 1
-            try:
-                self.queue.push(request, now=now)
-            except Exception:
-                self.stats.bump("rejected")
-                raise
-        self.stats.bump("submitted")
-        return request.future
-
     def submit_delta(self, config, delta, timeout: float | None = None,
                      now: float | None = None,
                      expected_version: int | None = None,
@@ -256,33 +166,11 @@ class InferenceServer:
         version, never claim the head while serving a partial graph.
         """
         now = _clock.now() if now is None else now
-        if config.data.task_kind != "node":
-            raise ValueError(
-                "submit_delta supports node-level configs; graph-level "
-                "datasets are collections of independent frozen graphs")
-        with self._submit_lock:
-            if self._closed:
-                raise ServerClosedError(
-                    "server is closed; submissions rejected")
-            request = Request(
-                id=self._next_id, config=config,
-                config_key=config_key(config),
-                kind="mutate", delta=delta,
-                expected_version=expected_version,
-                strict_version=strict_version,
-                deadline=None if timeout is None else now + timeout,
-            )
-            tracer = get_tracer()
-            if tracer.enabled:
-                request.trace = tracer.new_context(parent=trace)
-            self._next_id += 1
-            try:
-                self.queue.push(request, now=now)
-            except Exception:
-                self.stats.bump("rejected")
-                raise
-        self.stats.bump("submitted")
-        return request.future
+        self._require_node_config(config)
+        return self._new_request(config, "mutate", now, timeout, trace,
+                                 delta=delta,
+                                 expected_version=expected_version,
+                                 strict_version=strict_version)
 
     def graph_version(self, config) -> int:
         """The served dataset's current mutation version for ``config``.
@@ -291,17 +179,6 @@ class InferenceServer:
         version is a property of the live dataset, not of the server.
         """
         return self.pool.acquire(config).graph_version
-
-    @staticmethod
-    def _graph_key(nodes: np.ndarray | None) -> str:
-        """Identity of the queried graph: full graph, or this node set.
-
-        The exact array (values *and* order) is hashed — requests
-        coalesce only when their answers are bitwise interchangeable.
-        """
-        if nodes is None:
-            return "full-graph"
-        return hashlib.sha1(nodes.tobytes()).hexdigest()[:16]
 
     # -- scheduling ------------------------------------------------------- #
     def step(self, now: float | None = None, force_flush: bool = False) -> int:
@@ -335,7 +212,7 @@ class InferenceServer:
                                  enqueued_at=request.enqueued_at,
                                  deadline=request.deadline)
             else:
-                self._expand_graph_request(request)
+                done += self._expand_graph_request(request, now)
         done += self._run_ready(now, force_flush, node_results)
         return done
 
@@ -346,18 +223,28 @@ class InferenceServer:
             done += self._execute(batch, now, node_results)
         return done
 
-    def run_until_idle(self, now: float | None = None) -> int:
-        """Drain and execute everything pending; returns completions."""
-        done = 0
-        while len(self.queue) or len(self.batcher):
-            done += self.step(now=now, force_flush=True)
-        return done
+    def pending(self) -> int:
+        """Requests queued or sitting in an unflushed micro-batch."""
+        return len(self.queue) + len(self.batcher)
 
-    def _on_expired(self, request: Request) -> None:
-        self.stats.bump("expired")
+    def _drain_round(self, now: float | None) -> int:
+        return self.step(now=now, force_flush=True)
 
-    def _expand_graph_request(self, request: Request) -> None:
-        """Split a graph-level request into bucketed per-graph work units."""
+    def _loop_once(self) -> None:
+        self.step()
+        due = self.batcher.next_flush_due()
+        if due is not None:
+            if due > 0:
+                self._stop_event.wait(min(due, 0.05))
+        else:
+            self.queue.wait_nonempty(timeout=0.05)
+
+    def _expand_graph_request(self, request: Request, now: float) -> int:
+        """Split a graph-level request into bucketed per-graph work units.
+
+        Returns how many requests it resolved on the spot (a request
+        that cannot be expanded, or one that asks for no graphs).
+        """
         try:
             session = self.pool.acquire(request.config, key=request.config_key)
             ds = session.dataset
@@ -365,28 +252,23 @@ class InferenceServer:
                    if request.indices is None else request.indices)
             sizes = [ds.graphs[int(i)].num_nodes for i in idx]
         except Exception as exc:  # bad indices, dataset mismatch, …
-            request.future.set_exception(exc)
-            self.stats.bump("failed")
-            return
-        scatter = _GraphScatter(request, num_slots=len(idx))
+            return self._resolve(request, now, error=exc)
         if not len(idx):
-            request.future.set_result(
-                np.empty((0, 0), dtype=np.float64))
-            self.stats.bump("completed")
-            return
+            return self._resolve(request, now,
+                                 value=np.empty((0, 0), dtype=np.float64))
+        scatter = _GraphScatter(request, num_slots=len(idx))
         for slot, (i, size) in enumerate(zip(idx, sizes)):
             key = (request.config_key, "graphs", seq_len_bucket(size))
             self.batcher.add(key, (scatter, slot, int(i)),
                              enqueued_at=request.enqueued_at,
                              deadline=request.deadline)
+        return 0
 
     # -- execution -------------------------------------------------------- #
     def _execute(self, batch: MicroBatch, now: float,
-                 node_results: dict | None = None) -> int:
+                 node_results: dict) -> int:
         if batch.key[1] == "nodes":
-            return self._execute_nodes(batch, now,
-                                       {} if node_results is None
-                                       else node_results)
+            return self._execute_nodes(batch, now, node_results)
         return self._execute_graphs(batch, now)
 
     def _execute_nodes(self, batch: MicroBatch, now: float,
@@ -415,7 +297,8 @@ class InferenceServer:
                     logits = session.predict(nodes=first.nodes)
                 version = session.graph_version
             except Exception as exc:
-                return self._fail_all(requests, exc)
+                return sum(self._resolve(request, now, error=exc)
+                           for request in requests)
             node_results[batch.key] = (logits, version)
         t1 = _clock.now() if timed else 0.0
         _hooks.fire("on_batch_end", key=batch.key, size=len(requests),
@@ -433,8 +316,8 @@ class InferenceServer:
         for request in requests:
             # fan-out: every future owns its own copy — the pristine
             # original stays in the memo, immune to client mutation
-            done += self._complete(request, logits.copy(), now,
-                                   version=version)
+            done += self._resolve(request, now, value=logits.copy(),
+                                  version=version)
         self.stats.bump("shared_computes", len(requests) - (0 if shared else 1))
         return done
 
@@ -444,16 +327,12 @@ class InferenceServer:
         self.stats.record_batch(len(items))
         first = items[0][0].request
         unique = sorted({i for _, _, i in items})
+        # one entry per distinct request in the batch, in arrival order
+        owners = list({id(scatter): scatter.request
+                       for scatter, _, _ in items}.values())
         tracer = get_tracer()
-        roots: list[Request] = []
-        if tracer.enabled:
-            seen_scatters: set[int] = set()
-            for scatter, _, _ in items:
-                if (id(scatter) in seen_scatters
-                        or scatter.request.trace is None):
-                    continue
-                seen_scatters.add(id(scatter))
-                roots.append(scatter.request)
+        roots = ([r for r in owners if r.trace is not None]
+                 if tracer.enabled else [])
         tracing = bool(roots)
         timed = tracing or _hooks.active("on_batch_end")
         _hooks.fire("on_batch_start", key=batch.key, size=len(items))
@@ -466,17 +345,8 @@ class InferenceServer:
                     indices=np.asarray(unique, dtype=np.int64))
             version = session.graph_version
         except Exception as exc:
-            seen: set[int] = set()
-            failed = 0
-            for scatter, _, _ in items:
-                if id(scatter) in seen:
-                    continue
-                seen.add(id(scatter))
-                if not scatter.request.future.done():
-                    scatter.request.future.set_exception(exc)
-                    self.stats.bump("failed")
-                    failed += 1
-            return failed
+            return sum(self._resolve(request, now, error=exc)
+                       for request in owners)
         t1 = _clock.now() if timed else 0.0
         _hooks.fire("on_batch_end", key=batch.key, size=len(items),
                     seconds=t1 - t0)
@@ -491,8 +361,8 @@ class InferenceServer:
         done = 0
         for scatter, slot, i in items:
             if scatter.fill(slot, by_index[i].copy()):
-                done += self._complete(
-                    scatter.request, np.stack(scatter.outputs), now,
+                done += self._resolve(
+                    scatter.request, now, value=np.stack(scatter.outputs),
                     version=version)
         return done
 
@@ -503,17 +373,14 @@ class InferenceServer:
         change via the bumped ``graph_version`` (their cached contexts
         miss lazily).  With ``expected_version`` set, a dataset already
         at (or past) it means this is a redelivered duplicate — acked
-        with the current version, never re-applied.
+        with the current version, never re-applied.  The commit itself
+        (log, apply, version alignment) is
+        :meth:`repro.api.Session.apply_delta`'s.
         """
         try:
             session = self.pool.acquire(request.config,
                                         key=request.config_key)
             expected = request.expected_version
-            log = self.wal
-            if log is not None and (
-                    getattr(session, "_wal", None) is log
-                    or getattr(session.dataset, "wal", None) is log):
-                log = None  # the session/dataset self-logs; no double append
             if expected is not None and session.graph_version >= expected:
                 self.stats.bump("mutations_ignored")
             else:
@@ -526,111 +393,13 @@ class InferenceServer:
                         f"{session.graph_version}, delta produces "
                         f"{expected} — refusing to apply across "
                         f"missing versions")
-                if log is not None:
-                    # refuse an unapplyable delta before the durable
-                    # append — a poisoned record would wedge every
-                    # later append and replay of this log
-                    request.delta.validate(session.dataset)
-                    log.append(request.delta,
-                               expected if expected is not None
-                               else int(session.graph_version) + 1)
-                session.apply_delta(request.delta)
-                if (expected is not None
-                        and session.graph_version < expected):
-                    # a previously failed apply left this replica behind;
-                    # snap to the authority's version so later redelivery
-                    # guards stay aligned (without this, a requeued delta
-                    # could be applied twice — node additions are not
-                    # idempotent)
-                    session.dataset.graph_version = expected
-                if log is not None:
-                    log.maybe_snapshot(session.dataset)
+                session.apply_delta(request.delta, log=self.wal,
+                                    version=expected)
                 self.stats.bump("mutations")
             version = session.graph_version
         except Exception as exc:
-            if not request.future.done():
-                request.future.set_exception(exc)
-                self.stats.bump("failed")
-            return 1
-        return self._complete(request, version, now, version=version)
-
-    def _complete(self, request: Request, value, now: float,
-                  version: int | None = None) -> int:
-        if request.future.done():  # e.g. already expired elsewhere
-            return 0
-        if request.expired(now):
-            request.future.set_exception(DeadlineExceededError(
-                f"request {request.id} completed after its deadline; "
-                "result dropped"))
-            request.future.resolved_at = now
-            self.stats.bump("expired")
-            return 1
-        request.future.set_result(value, graph_version=version)
-        request.future.resolved_at = now
-        self.stats.bump("completed")
-        self.stats.record_latency(now - request.enqueued_at)
-        tracer = get_tracer()
-        if tracer.enabled and request.trace is not None:
-            drained = request.drained_at or request.enqueued_at
-            tracer.record("queue_wait", request.enqueued_at, drained,
-                          parent=request.trace)
-            tracer.record("request", request.enqueued_at, now,
-                          ctx=request.trace,
-                          attrs={"id": request.id, "kind": request.kind})
-        return 1
-
-    def _fail_all(self, requests: list[Request], exc: Exception) -> int:
-        for request in requests:
-            if not request.future.done():
-                request.future.set_exception(exc)
-                self.stats.bump("failed")
-        return len(requests)
-
-    # -- threaded mode ---------------------------------------------------- #
-    def start(self) -> "InferenceServer":
-        """Run the scheduling loop on a background worker thread."""
-        if self._thread is not None:
-            raise RuntimeError("server already started")
-        self._stop_event.clear()
-        self._thread = threading.Thread(target=self._worker_loop,
-                                        name="repro-serve", daemon=True)
-        self._thread.start()
-        return self
-
-    def _worker_loop(self) -> None:
-        while not self._stop_event.is_set():
-            self.step()
-            due = self.batcher.next_flush_due()
-            if due is not None:
-                if due > 0:
-                    self._stop_event.wait(min(due, 0.05))
-            else:
-                self.queue.wait_nonempty(timeout=0.05)
-        self.run_until_idle()
-
-    def stop(self) -> None:
-        """Stop the worker thread, draining everything still pending."""
-        if self._thread is None:
-            return
-        self._stop_event.set()
-        self._thread.join()
-        self._thread = None
-
-    def close(self) -> None:
-        """Reject new submissions, drain pending work, stop the worker."""
-        with self._submit_lock:
-            self._closed = True
-        if self._thread is not None:
-            self.stop()
-        # catch anything enqueued between the worker's final drain and
-        # the _closed flag taking effect
-        self.run_until_idle()
-
-    def __enter__(self) -> "InferenceServer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+            return self._resolve(request, now, error=exc)
+        return self._resolve(request, now, value=version, version=version)
 
     # -- introspection ---------------------------------------------------- #
     def stats_snapshot(self) -> dict:

@@ -23,7 +23,7 @@ The stack above composes with it end to end:
 
 Durability lives in :mod:`repro.stream.wal`: a :class:`MutationLog`
 write-ahead log sits in front of ``apply_delta`` at every tier
-(:func:`log_apply` — append, apply, maybe snapshot), snapshots reuse
+(:func:`log_apply` — validate, append, apply, maybe snapshot), snapshots reuse
 the :mod:`repro.store` chunked format, and crash recovery is snapshot
 + replay to the last acknowledged ``graph_version``
 (``benchmarks/bench_wal_recovery.py`` gates it bitwise against an

@@ -21,18 +21,19 @@ at or below the dataset's current version are skipped, and a version
 gap raises instead of applying out of order (node additions are not
 idempotent).
 
-Every mutation tier routes through the same pipeline
-(:func:`log_apply` — append, apply, maybe snapshot):
-:meth:`repro.api.Session.apply_delta` after
-:meth:`~repro.api.Session.attach_wal`, the
-:class:`~repro.serve.InferenceServer` via its ``wal=`` argument, the
-:class:`~repro.serve.ServingCluster` router (append-then-broadcast via
-``wal_dir=``, so a restarted router replays unacked deltas), and
-:class:`~repro.store.StoredNodeDataset` via
-:meth:`~repro.store.StoredNodeDataset.attach_wal`, which turns its
-per-delta chunk rewrites into log-driven checkpoints.  Read-replica
-workers tail the same file with ``mode="r"`` (never truncating the
-owner's tail) and serve version-pinned reads at a bounded lag.
+The commit order is **validate → append → apply → snapshot** and
+:func:`log_apply` is its only implementation outside the store:
+:meth:`repro.api.Session.apply_delta` calls it (with the log attached
+by :meth:`~repro.api.Session.attach_wal`, or the one an
+:class:`~repro.serve.InferenceServer` hands it from ``wal=``), and so
+does the :class:`~repro.serve.ServingCluster` router for its snapshot
+mirror (``wal_dir=`` — append-then-broadcast, so a restarted router
+replays unacked deltas).  :class:`~repro.store.StoredNodeDataset`
+keeps the same order inside its own ``apply_delta`` once
+:meth:`~repro.store.StoredNodeDataset.attach_wal` turns its per-delta
+chunk rewrites into log-driven checkpoints.  Read-replica workers tail
+the same file with ``mode="r"`` (never truncating the owner's tail)
+and serve version-pinned reads at a bounded lag.
 
 Observability: the ``repro_wal_*`` counters/gauges are pre-registered
 at construction (appends, replays, truncations, snapshot bytes,
@@ -521,28 +522,40 @@ class MutationLog:
                 f"last_version={self.last_version})")
 
 
-def log_apply(log: MutationLog, dataset, delta) -> "DeltaReport":
-    """The unified mutation pipeline: append, apply, maybe snapshot.
+def log_apply(log: MutationLog, dataset, delta,
+              version: int | None = None) -> "DeltaReport":
+    """The one mutation commit: validate → append → apply → snapshot.
 
-    Every tier that owns both a log and a dataset funnels through this
-    helper: the delta is durably appended (producing
-    ``graph_version + 1``) *before* :func:`repro.stream.apply_delta`
-    runs, and the log's snapshot cadence fires afterwards.  A dataset
-    whose *own* attached log is ``log``
-    (:meth:`repro.store.StoredNodeDataset.attach_wal`) handles the
-    append internally and is dispatched straight to apply — attaching
+    The delta is **validated first** — a record that cannot apply must
+    never become durable, or it would wedge every later append and
+    every replay of the log — then durably appended, then applied with
+    :func:`repro.stream.apply_delta`; the snapshot cadence fires last.
+    ``version`` is the ``graph_version`` the record produces: by
+    default the dataset's next one; an authority that assigns versions
+    (the cluster router, a log being tailed) passes its own, and a
+    dataset that had fallen behind is aligned to it, as
+    :meth:`MutationLog.replay` does.
+
+    A dataset whose *own* attached log is ``log``
+    (:meth:`repro.store.StoredNodeDataset.attach_wal`) runs the same
+    order internally and is dispatched straight to apply — attaching
     the same log at two tiers never double-logs a delta.
     """
     from .apply import apply_delta as _apply
 
     if getattr(dataset, "wal", None) is log:
         return _apply(dataset, delta)
-    version = int(getattr(dataset, "graph_version", 0)) + 1
+    assigned = version is not None
+    if not assigned:
+        version = int(getattr(dataset, "graph_version", 0)) + 1
+    delta.validate(dataset)
     log.append(delta, version)
     report = _apply(dataset, delta)
-    if int(report.graph_version) != version:
-        raise WalError(
-            f"apply produced version {report.graph_version}, "
-            f"log recorded {version}")
+    if int(dataset.graph_version) != version:
+        if not assigned:
+            raise WalError(
+                f"apply produced version {report.graph_version}, "
+                f"log recorded {version}")
+        dataset.graph_version = int(version)
     log.maybe_snapshot(dataset)
     return report

@@ -403,3 +403,48 @@ class TestSessionAttach:
         got = fresh.predict()
         assert np.array_equal(got, want)
         assert not np.array_equal(got, pre)
+
+
+def _out_of_range(dataset) -> GraphDelta:
+    return GraphDelta(add_edges=[[0, dataset.num_nodes + 1000]])
+
+
+def test_log_apply_refuses_before_durable(tmp_path, dataset):
+    # the one commit path validates *before* the durable append: a
+    # delta that cannot apply must leave no record behind, or it would
+    # wedge every later append and every replay of the log
+    log = MutationLog(tmp_path / "wal")
+    with pytest.raises(ValueError, match="out of range"):
+        log_apply(log, dataset, _out_of_range(dataset))
+    assert (log.record_count, log.last_version) == (0, 0)
+    assert dataset.graph_version == 0
+    # not wedged: the next valid delta commits as version 1 …
+    assert log_apply(log, dataset, churn(dataset, 1)[0]).graph_version == 1
+    assert log.last_version == 1
+    log.close()
+    # … and committed history stays recoverable
+    fresh = load_node_dataset("flickr", scale=SCALE, seed=7)
+    assert MutationLog(tmp_path / "wal").replay(fresh) == 1
+    assert np.array_equal(fresh.graph.indices, dataset.graph.indices)
+
+
+def test_log_apply_records_an_assigned_version(tmp_path, dataset):
+    # an authority's version is what the log records, and a dataset
+    # that had fallen behind is aligned to it (as replay does)
+    log = MutationLog(tmp_path / "wal")
+    report = log_apply(log, dataset, churn(dataset, 1)[0], version=4)
+    assert log.last_version == 4
+    assert dataset.graph_version == 4
+    assert report.graph_version == 1  # what the apply itself produced
+
+
+def test_store_attach_wal_refuses_before_durable(tmp_path, dataset):
+    write_store(tmp_path / "store", dataset, chunk_rows=64)
+    stored = open_store(tmp_path / "store", mode="r+")
+    log = MutationLog(tmp_path / "wal")
+    stored.attach_wal(log)
+    with pytest.raises(ValueError, match="out of range"):
+        stored.apply_delta(_out_of_range(stored))
+    assert log.record_count == 0
+    stored.apply_delta(churn(dataset, 1)[0])
+    assert (log.last_version, stored.graph_version) == (1, 1)
