@@ -24,7 +24,7 @@ from repro.tensor import (
     Tensor,
     checkpoint_sequential,
     live_graph_size,
-    set_precision,
+    precision_scope,
 )
 from repro.tensor import functional as F
 
@@ -85,11 +85,10 @@ def main() -> None:
     print("\n=== precision: fp32 vs simulated bf16 (Table VII's trade) ===")
     final = {}
     for precision in ("fp32", "bf16"):
-        set_precision(precision)
-        losses, _ = train(ds, use_checkpoint=True, epochs=8)
+        with precision_scope(precision):
+            losses, _ = train(ds, use_checkpoint=True, epochs=8)
         final[precision] = losses[-1]
         print(f"  {precision}: final training loss {losses[-1]:.4f}")
-    set_precision("fp32")
     print(f"\nbf16 converges worse by Δloss = "
           f"{final['bf16'] - final['fp32']:+.4f} at equal steps.  On real")
     print("hardware bf16 also halves every live byte (our simulation rounds")

@@ -124,7 +124,10 @@ def dense_attention(
         regular_bytes=itemsize * H * S * (3 * S + 3 * dh),
         irregular_bytes=0,
     ))
-    return Tensor._make(out_data, parents, backward)
+    # masked dense attention is not lowered, so it stays unnamed
+    return Tensor._make(out_data, parents, backward,
+                        op="dense_attention" if mask is None else None,
+                        scale=scale, has_bias=bias is not None)
 
 
 register_kernel(

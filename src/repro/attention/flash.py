@@ -16,7 +16,7 @@ are reproduced:
   Graphormer's bias under FlashAttention (§II-C); we raise if one is
   passed, and models fall back to bias-free attention under this backend;
 * under simulated **BF16** the per-tile rounding reproduces the accuracy
-  drop of Table VII (the global precision policy applies to this op's
+  drop of Table VII (the precision policy applies to this op's
   output like any other).
 """
 
@@ -93,9 +93,9 @@ def flash_attention(
             dp = np.einsum("hid,hjd->hij", g, vd[:, j0:j1])
             ds = p * (dp - delta[:, :, None])
             if v.requires_grad:
-                v._accumulate_slice_flash(j0, j1, np.einsum("hij,hid->hjd", p, g))
+                _accumulate_slice(v, j0, j1, np.einsum("hij,hid->hjd", p, g))
             if k.requires_grad:
-                k._accumulate_slice_flash(j0, j1, np.einsum("hij,hid->hjd", ds, qd) * scale)
+                _accumulate_slice(k, j0, j1, np.einsum("hij,hid->hjd", ds, qd) * scale)
             if dq is not None:
                 dq += np.einsum("hij,hjd->hid", ds, kd[:, j0:j1]) * scale
         if dq is not None:
@@ -110,23 +110,19 @@ def flash_attention(
         regular_bytes=itemsize * H * S * dh * 4,
         irregular_bytes=0,
     ))
-    return Tensor._make(out, (q, k, v), backward)
+    return Tensor._make(out, (q, k, v), backward, op="flash_attention",
+                        scale=scale, tile_size=tile_size)
 
 
-def _accumulate_slice_flash(self: Tensor, j0: int, j1: int, grad_slice: np.ndarray) -> None:
-    """Accumulate a gradient into rows ``j0:j1`` of this tensor's grad.
+def _accumulate_slice(t: Tensor, j0: int, j1: int, grad_slice: np.ndarray) -> None:
+    """Accumulate a gradient into rows ``j0:j1`` of ``t``'s grad.
 
     Helper used by the tiled backward so K/V gradients build up tile by
     tile without allocating a full temporary per tile.
     """
-    if self.grad is None:
-        self.grad = np.zeros_like(self.data)
-    self.grad[:, j0:j1] += grad_slice
-
-
-# attach as a lightweight method (kept out of tensor.py because only the
-# flash backward needs slice-level accumulation)
-Tensor._accumulate_slice_flash = _accumulate_slice_flash
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    t.grad[:, j0:j1] += grad_slice
 
 
 register_kernel(

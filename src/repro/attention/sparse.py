@@ -195,7 +195,8 @@ def sparse_attention(
         # every entry gathers a K row and a V row at an arbitrary address
         irregular_bytes=itemsize * H * E * dh * 2,
     ))
-    return Tensor._make(out_data, parents, backward)
+    return Tensor._make(out_data, parents, backward, op="sparse_attention",
+                        pattern_ws=ws, scale=scale, has_bias=bias is not None)
 
 
 register_kernel(

@@ -14,6 +14,10 @@ from dataclasses import dataclass, field
 
 __all__ = ["AttentionStats", "StatsCollector", "collector"]
 
+# newest records kept: a long-lived server or fit appends one per attention
+# call forever, and nothing under src/ ever clears the collector
+_MAX_RECORDS = 65_536
+
 
 @dataclass
 class AttentionStats:
@@ -48,6 +52,8 @@ class StatsCollector:
     def add(self, stats: AttentionStats) -> None:
         if self.enabled:
             self.records.append(stats)
+            if len(self.records) >= 2 * _MAX_RECORDS:  # amortised trim
+                del self.records[:-_MAX_RECORDS]
 
     def clear(self) -> None:
         self.records.clear()

@@ -13,9 +13,10 @@ The pipeline is ``trace → fold → lower → verify``:
   allocations and no autograd bookkeeping.
 * **verify** — the program runs on a perturbed input and on the original
   input and must match the reference forward *bitwise* (dtype, shape and
-  every bit of every logit).  Any divergence — an unpatched op polluting
-  the trace, a dtype surprise, a numba summation-order difference —
-  rejects the program and the caller stays on the reference path.
+  every bit of every logit).  Any divergence — a value computed outside
+  ``Tensor._make`` polluting the trace, a dtype surprise, a numba
+  summation-order difference — rejects the program and the caller stays
+  on the reference path.
 
 Determinism contract: a :class:`CompiledProgram` that survives
 verification produces bitwise-identical outputs to the reference path for
@@ -32,12 +33,11 @@ import numpy as np
 from ..attention.dense import dense_attention_forward
 from ..attention.flash import flash_forward
 from ..attention.sparse import sparse_attention_forward
-from ..attention.workspace import get_workspace
 from ..obs.metrics import get_registry
 from ..tensor.functional import gelu_forward, layer_norm_forward, softmax_forward, workspace_buffer as _buf
 from ..tensor.precision import Precision
 from . import jit
-from .trace import TraceRecorder, trace_capture
+from .trace import TraceRecorder, capture_active, trace_capture
 
 __all__ = ["CompiledProgram", "compile_plan"]
 
@@ -248,29 +248,21 @@ def _lower(rec: TraceRecorder, in_arr: np.ndarray, out_id: int,
         dynamic = False
         for iid in node.input_ids:
             known = state.get(iid)
-            if known is None:
-                arr = rec.values.get(iid)
-                if arr is None:
-                    return None
-                srcs.append((_SRC_CONST, arr))
-            else:
-                kind, payload = known
-                srcs.append(known)
-                if kind in (_SRC_INPUT, _SRC_STEP):
-                    dynamic = True
+            if known is None:  # produced by no recorded op: a constant
+                known = (_SRC_CONST, rec.values[iid])
+            srcs.append(known)
+            dynamic = dynamic or known[0] != _SRC_CONST
         if not dynamic:
             # constant fold: the traced output already holds the value
             state[node.out_id] = (_SRC_CONST, node.out)
             continue
+        if node.op is None and node.out_id in state:
+            continue  # re-wraps an array the trace already produced (checkpoint)
         fn = _STEP_FNS.get(node.op)
         if fn is None:
-            return None
+            return None  # an unnamed op on the dynamic spine
         params = dict(node.params)
         if node.op == "sparse_attention":
-            pattern_ws = params.pop("workspace", None)
-            if pattern_ws is None:
-                pattern_ws = get_workspace(params["pattern"])
-            params["pattern_ws"] = pattern_ws
             params["scores_fn"] = jit.gather_scores \
                 if (use_jit and jit.HAVE_NUMBA) else None
         step = _Step(node.op, fn, tuple(srcs), params,
@@ -278,9 +270,7 @@ def _lower(rec: TraceRecorder, in_arr: np.ndarray, out_id: int,
         steps.append(step)
         state[node.out_id] = (_SRC_STEP, step.idx)
     out_ref = state.get(out_id)
-    if out_ref is None:
-        return None
-    if out_ref[0] == _SRC_INPUT:
+    if out_ref is None or out_ref[0] == _SRC_INPUT:
         return None
     jit_active = use_jit and jit.HAVE_NUMBA and any(
         st.op == "sparse_attention" for st in steps)
@@ -319,26 +309,21 @@ def compile_plan(ref_forward, feats: np.ndarray, precision: str,
     it) and must be called under the same precision scope the compiled
     program will serve.  Returns ``None`` whenever anything prevents a
     *bitwise-faithful* program — unsupported precision (bf16 rounds every
-    op output), an op outside the traced vocabulary feeding the output,
-    masked dense attention, or a verification mismatch.  When numba is
-    present, the JIT'ed program is verified first and silently rebuilt
-    without JIT if it fails the bitwise gate.
+    op output), an op outside the compiled vocabulary (masked dense
+    attention included) computing on the features, a call from inside
+    another capture, or a verification mismatch.  An exception raised by
+    ``ref_forward`` itself propagates.  When numba is present, the JIT'ed
+    program is verified first and silently rebuilt without JIT if it fails
+    the bitwise gate.
     """
-    if precision not in (Precision.FP32, Precision.FP64):
+    if precision not in (Precision.FP32, Precision.FP64) or capture_active():
         return None
     dtype = Precision.dtype(precision)
     # private copy: replay overwrites this buffer, never the caller's array
     in_arr = np.array(feats, dtype=dtype)
-    try:
-        with trace_capture() as rec:
-            out_t = ref_forward(in_arr)
-    except RuntimeError:
-        return None
-    if not rec.ok:
-        return None
-    out_arr = out_t.data
-    if id(out_arr) not in rec.values:
-        return None
+    with trace_capture() as rec:
+        out_t = ref_forward(in_arr)
+    out_arr = out_t.data  # _lower declines when no recorded op produced it
     prog = _lower(rec, in_arr, id(out_arr), use_jit=use_jit)
     if prog is not None and _verify(prog, ref_forward, in_arr, out_arr):
         return prog

@@ -1,49 +1,43 @@
 """Plan tracing: record one eval forward as a flat op program.
 
-The numpy substrate has no lazy graph to export, so the tracer captures a
-forward pass the only way a define-by-run system can: it temporarily
-patches the closed vocabulary of ops an eval forward uses — the
-:class:`~repro.tensor.Tensor` arithmetic/shape methods, the fused
-functionals (gelu / layer_norm / embedding lookup / softmax) and the
-three attention kernels — and records ``(op, input arrays, params,
-output array)`` tuples while the unmodified originals do the real work.
-The recorded arrays themselves are the trace's value universe: anything
-that is never produced by a recorded op is a *constant* (weights,
-encodings, attention bias tables), which is what lets the lowering pass
-in :mod:`repro.backend.compiled` fold entire encoding subgraphs away.
+The numpy substrate has no lazy graph to export, but every op output is
+built by :meth:`repro.tensor.Tensor._make`, where the op *names itself*:
+the closed vocabulary the compiled backend lowers passes ``op=`` plus the
+parameters its lowering needs, every other op leaves ``op`` unset.  Inside
+:func:`trace_capture`, ``_make`` hands the :class:`TraceRecorder` one
+``(op, input arrays, params, output array)`` per op.  The recorded arrays
+are the trace's value universe: anything never produced by a recorded op
+is a *constant* (weights, encodings, attention bias tables), which lets
+the lowering pass in :mod:`repro.backend.compiled` fold entire encoding
+subgraphs away.  An unnamed op folds too when its inputs are constants,
+and makes the lowering decline when they are not.
 
 The recorder holds strong references to every array it sees so that
-``id()`` keys cannot be recycled mid-trace.  Tracing is process-global
-(it patches classes/modules); the compile pipeline's bitwise
-verification run is the safety net against any interference — a polluted
-trace fails verification and the caller falls back to the reference path.
+``id()`` keys cannot be recycled mid-trace.  Capture is context-local (a
+``ContextVar``): other threads' ops are never recorded, nothing is patched.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import numpy as np
 
-from ..tensor.tensor import Tensor
+from ..tensor.tensor import _RECORDER
 
-__all__ = ["TraceNode", "TraceRecorder", "trace_capture"]
-
-_ACTIVE: "TraceRecorder | None" = None
+__all__ = ["TraceNode", "TraceRecorder", "trace_capture", "capture_active"]
 
 
-class TraceNode:
-    """One recorded op: name, input array ids, params, output array."""
+class TraceNode(NamedTuple):
+    """One recorded op: name (``None`` = outside the compiled vocabulary),
+    input array ids, params, output array."""
 
-    __slots__ = ("op", "input_ids", "params", "out_id", "out")
-
-    def __init__(self, op: str, input_ids: tuple[int, ...], params: dict,
-                 out_id: int, out: np.ndarray):
-        self.op = op
-        self.input_ids = input_ids
-        self.params = params
-        self.out_id = out_id
-        self.out = out
+    op: str | None
+    input_ids: tuple[int, ...]
+    params: dict
+    out_id: int
+    out: np.ndarray
 
 
 class TraceRecorder:
@@ -52,10 +46,9 @@ class TraceRecorder:
     def __init__(self) -> None:
         self.nodes: list[TraceNode] = []
         self.values: dict[int, np.ndarray] = {}  # id -> array (strong refs)
-        self.ok = True  # cleared when an untraceable construct is seen
 
-    def record(self, op: str, inputs: tuple[np.ndarray, ...], params: dict,
-               out: np.ndarray) -> None:
+    def record(self, op: str | None, inputs: tuple[np.ndarray, ...],
+               params: dict, out: np.ndarray) -> None:
         """Append one op; pins every involved array so ids stay unique."""
         ids = []
         for a in inputs:
@@ -65,213 +58,23 @@ class TraceRecorder:
         self.nodes.append(TraceNode(op, tuple(ids), params, id(out), out))
 
 
-# --------------------------------------------------------------------- #
-# wrappers
-# --------------------------------------------------------------------- #
-def _wrap_binary(orig, op):
-    def wrapper(self, other):
-        rec = _ACTIVE
-        if rec is None:
-            return orig(self, other)
-        oth = Tensor._coerce(other)
-        out = orig(self, oth)
-        rec.record(op, (self.data, oth.data), {}, out.data)
-        return out
-    return wrapper
-
-
-def _wrap_unary(orig, op):
-    def wrapper(self):
-        rec = _ACTIVE
-        out = orig(self)
-        if rec is not None:
-            rec.record(op, (self.data,), {}, out.data)
-        return out
-    return wrapper
-
-
-def _wrap_pow(orig):
-    def wrapper(self, exponent):
-        rec = _ACTIVE
-        out = orig(self, exponent)
-        if rec is not None:
-            rec.record("pow", (self.data,), {"exponent": float(exponent)}, out.data)
-        return out
-    return wrapper
-
-
-def _wrap_reshape(orig):
-    def wrapper(self, *shape):
-        rec = _ACTIVE
-        out = orig(self, *shape)
-        if rec is not None:
-            rec.record("reshape", (self.data,), {"shape": out.data.shape}, out.data)
-        return out
-    return wrapper
-
-
-def _wrap_transpose(orig):
-    def wrapper(self, *axes):
-        rec = _ACTIVE
-        out = orig(self, *axes)
-        if rec is not None:
-            if not axes:
-                perm = tuple(reversed(range(self.data.ndim)))
-            elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-                perm = tuple(axes[0])
-            else:
-                perm = tuple(axes)
-            rec.record("transpose", (self.data,), {"perm": perm}, out.data)
-        return out
-    return wrapper
-
-
-def _wrap_mean(orig):
-    def wrapper(self, axis=None, keepdims=False):
-        rec = _ACTIVE
-        out = orig(self, axis=axis, keepdims=keepdims)
-        if rec is not None:
-            rec.record("mean", (self.data,),
-                       {"axis": axis, "keepdims": keepdims}, out.data)
-        return out
-    return wrapper
-
-
-def _wrap_gelu(orig):
-    def wrapper(x):
-        rec = _ACTIVE
-        out = orig(x)
-        if rec is not None:
-            rec.record("gelu", (x.data,), {}, out.data)
-        return out
-    return wrapper
-
-
-def _wrap_softmax(orig):
-    def wrapper(x, axis=-1):
-        rec = _ACTIVE
-        out = orig(x, axis=axis)
-        if rec is not None:
-            rec.record("softmax", (x.data,), {"axis": axis}, out.data)
-        return out
-    return wrapper
-
-
-def _wrap_layer_norm(orig):
-    def wrapper(x, weight, bias, eps=1e-5):
-        rec = _ACTIVE
-        out = orig(x, weight, bias, eps)
-        if rec is not None:
-            rec.record("layer_norm", (x.data, weight.data, bias.data),
-                       {"eps": eps}, out.data)
-        return out
-    return wrapper
-
-
-def _wrap_embedding(orig):
-    def wrapper(table, indices):
-        rec = _ACTIVE
-        out = orig(table, indices)
-        if rec is not None:
-            rec.record("embedding", (table.data,),
-                       {"indices": np.asarray(indices)}, out.data)
-        return out
-    return wrapper
-
-
-def _wrap_dense_attention(orig):
-    def wrapper(q, k, v, bias=None, mask=None, scale=None):
-        rec = _ACTIVE
-        out = orig(q, k, v, bias=bias, mask=mask, scale=scale)
-        if rec is not None:
-            if mask is not None:
-                rec.ok = False  # masked dense attention is not lowered
-            else:
-                inputs = (q.data, k.data, v.data)
-                if bias is not None:
-                    inputs = inputs + (bias.data,)
-                rec.record("dense_attention", inputs,
-                           {"scale": scale, "has_bias": bias is not None},
-                           out.data)
-        return out
-    return wrapper
-
-
-def _wrap_sparse_attention(orig):
-    def wrapper(q, k, v, pattern, bias=None, scale=None, workspace=None):
-        rec = _ACTIVE
-        out = orig(q, k, v, pattern, bias=bias, scale=scale, workspace=workspace)
-        if rec is not None:
-            inputs = (q.data, k.data, v.data)
-            if bias is not None:
-                inputs = inputs + (bias.data,)
-            rec.record("sparse_attention", inputs,
-                       {"pattern": pattern, "scale": scale,
-                        "workspace": workspace, "has_bias": bias is not None},
-                       out.data)
-        return out
-    return wrapper
-
-
-def _wrap_flash_attention(orig):
-    def wrapper(q, k, v, scale=None, tile_size=128):
-        rec = _ACTIVE
-        out = orig(q, k, v, scale=scale, tile_size=tile_size)
-        if rec is not None:
-            rec.record("flash_attention", (q.data, k.data, v.data),
-                       {"scale": scale, "tile_size": tile_size}, out.data)
-        return out
-    return wrapper
-
-
-def _patch_table():
-    """Build the (holder, attr, wrapper-factory) table; late imports keep
-    module init free of circular-import pressure."""
-    from ..tensor import functional as F
-    from ..attention import dense, flash, sparse
-
-    binary = [("__add__", "add"), ("__radd__", "add"), ("__sub__", "sub"),
-              ("__mul__", "mul"), ("__rmul__", "mul"),
-              ("__truediv__", "truediv"), ("__matmul__", "matmul")]
-    table = []
-    for name, op in binary:
-        table.append((Tensor, name, lambda o, op=op: _wrap_binary(o, op)))
-    table.append((Tensor, "__neg__", lambda o: _wrap_unary(o, "neg")))
-    table.append((Tensor, "__pow__", _wrap_pow))
-    table.append((Tensor, "reshape", _wrap_reshape))
-    table.append((Tensor, "transpose", _wrap_transpose))
-    table.append((Tensor, "mean", _wrap_mean))
-    table.append((F, "gelu", _wrap_gelu))
-    table.append((F, "softmax", _wrap_softmax))
-    table.append((F, "layer_norm", _wrap_layer_norm))
-    table.append((F, "embedding_lookup", _wrap_embedding))
-    table.append((dense, "dense_attention", _wrap_dense_attention))
-    table.append((sparse, "sparse_attention", _wrap_sparse_attention))
-    table.append((flash, "flash_attention", _wrap_flash_attention))
-    return table
+def capture_active() -> bool:
+    """Whether the calling context is inside a :func:`trace_capture`."""
+    return _RECORDER.get() is not None
 
 
 @contextmanager
 def trace_capture():
-    """Patch the op vocabulary, yield a fresh :class:`TraceRecorder`, and
-    restore everything on exit (even on error).
+    """Yield a fresh :class:`TraceRecorder` that every op built in this
+    context reports to until the block exits (even on error).
 
-    Nested capture is refused (the recorder would interleave); callers
-    should treat a raised ``RuntimeError`` as "cannot compile right now".
+    Nested capture is refused — the recorder would interleave.
     """
-    global _ACTIVE
-    if _ACTIVE is not None:
+    if capture_active():
         raise RuntimeError("trace_capture does not nest")
     rec = TraceRecorder()
-    installed = []
+    token = _RECORDER.set(rec)
     try:
-        for holder, name, factory in _patch_table():
-            orig = getattr(holder, name)
-            setattr(holder, name, factory(orig))
-            installed.append((holder, name, orig))
-        _ACTIVE = rec
         yield rec
     finally:
-        _ACTIVE = None
-        for holder, name, orig in reversed(installed):
-            setattr(holder, name, orig)
+        _RECORDER.reset(token)

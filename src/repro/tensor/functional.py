@@ -80,7 +80,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
             dot = (g * out_data).sum(axis=axis, keepdims=True)
             a._accumulate(out_data * (g - dot))
 
-    return Tensor._make(out_data, (a,), backward)
+    return Tensor._make(out_data, (a,), backward, op="softmax", axis=axis)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -157,7 +157,7 @@ def gelu(x: Tensor) -> Tensor:
             dt = (1.0 - t * t) * du
             a._accumulate(g * (0.5 * (1.0 + t) + 0.5 * a.data * dt))
 
-    return Tensor._make(out_data, (a,), backward)
+    return Tensor._make(out_data, (a,), backward, op="gelu")
 
 
 def layer_norm_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
@@ -206,7 +206,7 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
             mean_gx_xhat = (gx * x_hat).mean(axis=-1, keepdims=True)
             a._accumulate(inv_std * (gx - mean_gx - x_hat * mean_gx_xhat))
 
-    return Tensor._make(out_data, (a, w, b), backward)
+    return Tensor._make(out_data, (a, w, b), backward, op="layer_norm", eps=eps)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
@@ -235,7 +235,7 @@ def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
             np.add.at(buf, idx.reshape(-1), g.reshape(-1, t.data.shape[-1]))
             t._accumulate(buf)
 
-    return Tensor._make(t.data[idx], (t,), backward)
+    return Tensor._make(t.data[idx], (t,), backward, op="embedding", indices=idx)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray,

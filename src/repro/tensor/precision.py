@@ -37,11 +37,11 @@ class Precision:
     @staticmethod
     def dtype(precision: str) -> np.dtype:
         """Return the numpy storage dtype used for ``precision``."""
-        if precision == Precision.FP64:
-            return np.dtype(np.float64)
-        if precision in (Precision.FP32, Precision.BF16):
-            return np.dtype(np.float32)
-        raise ValueError(f"unknown precision: {precision!r}")
+        # a table, not np.dtype(...) per call: every op output passes here
+        try:
+            return _STORAGE_DTYPES[precision]
+        except KeyError:
+            raise ValueError(f"unknown precision: {precision!r}") from None
 
     @staticmethod
     def bytes_per_element(precision: str) -> int:
@@ -57,6 +57,11 @@ class Precision:
         if precision == Precision.BF16:
             return 2
         raise ValueError(f"unknown precision: {precision!r}")
+
+
+_STORAGE_DTYPES = {Precision.FP64: np.dtype(np.float64),
+                   Precision.FP32: np.dtype(np.float32),
+                   Precision.BF16: np.dtype(np.float32)}
 
 
 def quantize_bf16(x: np.ndarray) -> np.ndarray:

@@ -14,8 +14,14 @@ Design notes (per the HPC guides):
 * Gradients accumulate in-place (``+=``) into pre-allocated buffers to
   avoid churn, and reductions use ufunc ``.sum`` over axes rather than
   copies.
-* A global precision policy (see :mod:`repro.tensor.precision`) lets the
-  whole engine run in simulated bfloat16 for the Table VII experiment.
+* A precision policy (see :mod:`repro.tensor.precision`) lets the whole
+  engine run in simulated bfloat16 for the Table VII experiment.
+* Grad recording, compute precision and the active trace recorder are
+  each a :class:`contextvars.ContextVar`: a scope entered on one thread
+  never reaches an op on another, and a new thread starts at the
+  defaults (grad on, fp32, no recorder).
+* Every op output is built by :meth:`Tensor._make`, which is where an op
+  *names itself* for :mod:`repro.backend`'s plan tracing.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -31,21 +38,22 @@ from .precision import Precision, apply_precision
 __all__ = ["Tensor", "no_grad", "is_grad_enabled", "set_precision",
            "get_precision", "precision_scope"]
 
-_GRAD_ENABLED = True
-_PRECISION = Precision.FP32
+_GRAD_ENABLED: ContextVar[bool] = ContextVar("repro_grad_enabled", default=True)
+_PRECISION: ContextVar[str] = ContextVar("repro_precision", default=Precision.FP32)
+# the repro.backend.trace.TraceRecorder of the enclosing trace_capture(), if any
+_RECORDER: ContextVar = ContextVar("repro_trace_recorder", default=None)
 
 
 def set_precision(precision: str) -> None:
-    """Set the global compute precision (``fp64``, ``fp32`` or ``bf16``)."""
-    global _PRECISION
+    """Set this context's compute precision (``fp64``, ``fp32`` or ``bf16``)."""
     if precision not in Precision.ALL:
         raise ValueError(f"unknown precision: {precision!r}")
-    _PRECISION = precision
+    _PRECISION.set(precision)
 
 
 def get_precision() -> str:
-    """Return the current global compute precision."""
-    return _PRECISION
+    """Return this context's compute precision."""
+    return _PRECISION.get()
 
 
 @contextmanager
@@ -64,20 +72,17 @@ class no_grad:
     """Context manager that disables graph recording (like torch.no_grad)."""
 
     def __enter__(self):
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._token = _GRAD_ENABLED.set(False)
         return self
 
     def __exit__(self, *exc):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        _GRAD_ENABLED.reset(self._token)
         return False
 
 
 def is_grad_enabled() -> bool:
     """Whether ops currently record the autograd graph."""
-    return _GRAD_ENABLED
+    return _GRAD_ENABLED.get()
 
 
 def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -118,7 +123,7 @@ class Tensor:
             data = data.data
         arr = np.asarray(data)
         if arr.dtype.kind in "fc":
-            arr = arr.astype(Precision.dtype(_PRECISION), copy=False)
+            arr = arr.astype(Precision.dtype(_PRECISION.get()), copy=False)
         self.data: np.ndarray = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
@@ -178,12 +183,19 @@ class Tensor:
         data: np.ndarray,
         parents: Sequence["Tensor"],
         backward: Callable[[np.ndarray], None],
+        op: str | None = None,
+        **params,
     ) -> "Tensor":
-        """Wrap an op output, recording the graph if grad is enabled."""
+        """Wrap an op output, recording the graph if grad is enabled.
+
+        ``op`` / ``params`` are what the op states about itself — its name
+        in the compiled backend's vocabulary and what its lowering needs;
+        inside a ``trace_capture()`` they go to the recorder.
+        """
         # fast path: apply_precision already produced a conforming ndarray,
         # so skip __init__'s coercion and assign slots directly — this is
         # the per-op overhead every hot-loop forward pays
-        data = apply_precision(data, _PRECISION)
+        data = apply_precision(data, _PRECISION.get())
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
@@ -191,10 +203,13 @@ class Tensor:
         out._backward = None
         out._parents = ()
         out.name = ""
-        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+        if _GRAD_ENABLED.get() and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
+        rec = _RECORDER.get()
+        if rec is not None:
+            rec.record(op, tuple(p.data for p in parents), params, data)
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
@@ -256,7 +271,7 @@ class Tensor:
             if b.requires_grad:
                 b._accumulate(g)
 
-        return Tensor._make(a.data + b.data, (a, b), backward)
+        return Tensor._make(a.data + b.data, (a, b), backward, op="add")
 
     __radd__ = __add__
 
@@ -270,7 +285,7 @@ class Tensor:
             if b.requires_grad:
                 b._accumulate(-g)
 
-        return Tensor._make(a.data - b.data, (a, b), backward)
+        return Tensor._make(a.data - b.data, (a, b), backward, op="sub")
 
     def __rsub__(self, other) -> "Tensor":
         return Tensor._coerce(other).__sub__(self)
@@ -285,7 +300,7 @@ class Tensor:
             if b.requires_grad:
                 b._accumulate(g * a.data)
 
-        return Tensor._make(a.data * b.data, (a, b), backward)
+        return Tensor._make(a.data * b.data, (a, b), backward, op="mul")
 
     __rmul__ = __mul__
 
@@ -299,7 +314,7 @@ class Tensor:
             if b.requires_grad:
                 b._accumulate(-g * a.data / (b.data * b.data))
 
-        return Tensor._make(a.data / b.data, (a, b), backward)
+        return Tensor._make(a.data / b.data, (a, b), backward, op="truediv")
 
     def __rtruediv__(self, other) -> "Tensor":
         return Tensor._coerce(other).__truediv__(self)
@@ -311,7 +326,7 @@ class Tensor:
             if a.requires_grad:
                 a._accumulate(-g)
 
-        return Tensor._make(-a.data, (a,), backward)
+        return Tensor._make(-a.data, (a,), backward, op="neg")
 
     def __pow__(self, exponent: float) -> "Tensor":
         a = self
@@ -321,7 +336,8 @@ class Tensor:
             if a.requires_grad:
                 a._accumulate(g * p * np.power(a.data, p - 1.0))
 
-        return Tensor._make(np.power(a.data, p), (a,), backward)
+        return Tensor._make(np.power(a.data, p), (a,), backward,
+                            op="pow", exponent=p)
 
     def __matmul__(self, other) -> "Tensor":
         other = Tensor._coerce(other)
@@ -335,7 +351,7 @@ class Tensor:
                 gb = np.swapaxes(a.data, -1, -2) @ g
                 b._accumulate(unbroadcast(gb, b.data.shape))
 
-        return Tensor._make(a.data @ b.data, (a, b), backward)
+        return Tensor._make(a.data @ b.data, (a, b), backward, op="matmul")
 
     # comparisons (non-differentiable, return plain arrays)
     def __gt__(self, other):
@@ -466,7 +482,8 @@ class Tensor:
                 g2 = g if keepdims else np.expand_dims(g, axis)
                 a._accumulate(np.broadcast_to(g2 / count, a.data.shape))
 
-        return Tensor._make(a.data.mean(axis=axis, keepdims=keepdims), (a,), backward)
+        return Tensor._make(a.data.mean(axis=axis, keepdims=keepdims), (a,), backward,
+                            op="mean", axis=axis, keepdims=keepdims)
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         a = self
@@ -502,7 +519,10 @@ class Tensor:
             if a.requires_grad:
                 a._accumulate(g.reshape(old_shape))
 
-        return Tensor._make(a.data.reshape(shape), (a,), backward)
+        out_data = a.data.reshape(shape)
+        # the resolved shape: a traced replay cannot re-infer a -1
+        return Tensor._make(out_data, (a,), backward,
+                            op="reshape", shape=out_data.shape)
 
     def transpose(self, *axes) -> "Tensor":
         a = self
@@ -518,7 +538,8 @@ class Tensor:
             if a.requires_grad:
                 a._accumulate(g.transpose(inv))
 
-        return Tensor._make(a.data.transpose(perm), (a,), backward)
+        return Tensor._make(a.data.transpose(perm), (a,), backward,
+                            op="transpose", perm=perm)
 
     def swapaxes(self, ax1: int, ax2: int) -> "Tensor":
         a = self

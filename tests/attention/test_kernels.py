@@ -201,6 +201,23 @@ class TestStatsInstrumentation:
         collector.clear()
         assert collector.last() is None
 
+    def test_collector_keeps_only_the_newest_records(self):
+        from repro.attention.stats import _MAX_RECORDS, AttentionStats
+
+        collector.clear()
+        try:
+            for i in range(200_000):
+                collector.add(AttentionStats("dense", i, 1, 1, 0, 0, 0, 0))
+            assert _MAX_RECORDS <= len(collector.records) <= 2 * _MAX_RECORDS
+            assert isinstance(collector.records, list)
+            assert collector.last().seq_len == 199_999
+            # the survivors are the newest ones, still in order
+            first = collector.records[0].seq_len
+            assert [r.seq_len for r in collector.records] == list(
+                range(first, 200_000))
+        finally:
+            collector.clear()
+
 
 class TestPrecisionInteraction:
     def test_bf16_flash_differs_from_fp32(self, rng):

@@ -3,6 +3,8 @@ reproduction: ring attention, NLP patterns, performer features, schedules,
 checkpointing, graph metrics, R-MAT and I/O round-trips.
 """
 
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from repro.attention import (
     random_pattern,
 )
 from repro.attention.performer import performer_features, random_feature_matrix
+from repro.backend import compile_plan
 from repro.distributed import Communicator, ShardPlan, ring_attention
 from repro.graph import CSRGraph, degree_gini, modularity, rmat
 from repro.tensor import (
@@ -25,6 +28,7 @@ from repro.tensor import (
     WarmupCosineSchedule,
     checkpoint,
 )
+from repro.tensor import functional as F
 
 seqlens = st.integers(4, 40)
 
@@ -163,3 +167,97 @@ class TestIoRoundTripProperties:
             back = load_graph(path)
         np.testing.assert_array_equal(back.indptr, g.indptr)
         np.testing.assert_array_equal(back.indices, g.indices)
+
+
+class TestCompiledProgramProperties:
+    """Random straight-line programs over the 14 non-attention ops of the
+    compiled vocabulary; each operand is the dynamic input, a constant, or
+    an earlier result — so the constant / dynamic split is random too."""
+
+    D = 5
+    OPS = ["add", "sub", "mul", "truediv", "matmul", "neg", "pow",
+           "transpose", "reshape", "mean", "gelu", "softmax", "layer_norm",
+           "embedding"]
+    TAKES_TWO = {"add", "sub", "mul", "truediv", "matmul", "mean"}
+    UNNAMED = {"exp": Tensor.exp, "tanh": Tensor.tanh, "abs": Tensor.abs}
+    instructions = st.lists(
+        st.tuples(st.sampled_from(OPS), st.integers(0, 50),
+                  st.integers(0, 50), st.integers(0, 3)),
+        min_size=1, max_size=8)
+
+    @classmethod
+    def _apply(cls, op, a, b, k):
+        if op in ("add", "sub", "mul", "truediv", "matmul"):
+            return getattr(operator, op)(a, b)
+        if op == "neg":
+            return -a
+        if op == "pow":
+            return a ** (2.0 + k % 2)
+        if op == "transpose":
+            return a.transpose(1, 0)
+        if op == "reshape":
+            return a.reshape(-1, cls.D)
+        if op == "mean":
+            return a.mean(axis=k % 2, keepdims=True) + b
+        if op == "gelu":
+            return F.gelu(a)
+        if op == "softmax":
+            return F.softmax(a, axis=k % 2)
+        if op == "layer_norm":
+            return F.layer_norm(a, Tensor(np.full(cls.D, 1.5)),
+                                Tensor(np.full(cls.D, 0.25)))
+        return F.embedding_lookup(a, (np.arange(cls.D) * 2 + k) % cls.D)
+
+    @classmethod
+    def _forward(cls, program, poison=None):
+        """``poison=(p, name)`` applies the unnamed op ``name`` to the
+        ``p``-th value that depends on the input, as soon as it exists."""
+        consts = [Tensor(np.random.default_rng(s).standard_normal((cls.D, cls.D)))
+                  for s in (1, 2, 3)]
+        dynamic = [True, False, False, False]
+        for op, i, j, _ in program:
+            n = len(dynamic)
+            dynamic.append(dynamic[i % n]
+                           or (op in cls.TAKES_TWO and dynamic[j % n]))
+        slot = None
+        if poison is not None:
+            spine = [s for s, d in enumerate(dynamic) if d]
+            slot = spine[poison[0] % len(spine)]
+
+        def poisoned(value, at):
+            return cls.UNNAMED[poison[1]](value) if at == slot else value
+
+        def forward(f):
+            pool = [poisoned(Tensor(f), 0)] + consts
+            for op, i, j, k in program:
+                out = cls._apply(op, pool[i % len(pool)], pool[j % len(pool)], k)
+                pool.append(poisoned(out, len(pool)))
+            return pool[-1]
+        return forward
+
+    @classmethod
+    def _feats(cls, seed):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((cls.D, cls.D)).astype(np.float32)
+
+    @given(instructions, st.integers(0, 10_000))
+    @settings(max_examples=150, deadline=None)
+    def test_compiled_equals_reference_on_an_unseen_input(self, program, seed):
+        forward = self._forward(program)
+        with np.errstate(all="ignore"):
+            prog = compile_plan(forward, self._feats(0), "fp32")
+            if prog is None:
+                return
+            third = self._feats(100 + seed)  # neither of _verify's two inputs
+            want = forward(third).data
+            got = prog.run(third)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @given(instructions, st.integers(0, 50), st.sampled_from(sorted(UNNAMED)))
+    @settings(max_examples=150, deadline=None)
+    def test_unnamed_op_on_the_dynamic_spine_never_compiles(self, program, p,
+                                                            name):
+        with np.errstate(all="ignore"):
+            assert compile_plan(self._forward(program, poison=(p, name)),
+                                self._feats(0), "fp32") is None
