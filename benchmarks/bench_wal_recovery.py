@@ -2,18 +2,21 @@
 
 Not a paper table: this benchmark guards :mod:`repro.stream.wal`, the
 write-ahead delta log every mutation tier funnels through.  One
-store-backed dataset churns through a seeded delta sequence in a child
-process that is **SIGKILLed mid-churn** — no atexit, no flush,
-possibly torn mid-append — and recovery (chunk state + snapshot +
-log replay) is timed and compared against the run that never died.
+read-only store churns through a seeded delta sequence, committed by
+:func:`~repro.stream.log_apply` with a snapshot every few versions, in
+a child process that is **SIGKILLed mid-churn** — no atexit, no
+flush, possibly torn mid-append — and recovery (latest snapshot + log
+replay, :meth:`~repro.stream.MutationLog.recover`) is timed and
+compared against the run that never died.
 
 Three claims are asserted:
 
-* **bitwise recovery** — the recovered dataset lands on exactly the
-  ``graph_version`` the log last acknowledged, with CSR topology,
-  features, and served logits bitwise identical to an uninterrupted
-  in-memory run stopped at that version; resuming the remaining deltas
-  converges with the uninterrupted run at the final version, bitwise;
+* **bitwise recovery** — recovery starts from a snapshot and lands on
+  exactly the ``graph_version`` the log last acknowledged, with CSR
+  topology, features, and served logits bitwise identical to an
+  uninterrupted in-memory run stopped at that version; resuming the
+  remaining deltas converges with the uninterrupted run at the final
+  version, bitwise;
 * **exactly-once replay** — re-replaying the same log onto the
   recovered dataset applies zero records;
 * **bounded replica lag** — a WAL-tailing read replica in an inline
@@ -46,15 +49,14 @@ from repro.api import (
 from repro.bench import TableReport, fmt_time
 from repro.graph import load_node_dataset
 from repro.serve import ServingCluster
-from repro.store import open_store, write_store
-from repro.stream import MutationLog, apply_delta, make_churn_deltas
+from repro.store import write_store
+from repro.stream import MutationLog, apply_delta, log_apply, make_churn_deltas
 
 DATASET = "flickr"
 SCALE = 0.05
 DATA_SEED = 7
 NUM_DELTAS = 16
 KILL_AFTER = 7  # SIGKILL once the child reports this version applied
-CHECKPOINT_EVERY = 3
 SNAPSHOT_EVERY = 4
 CHURN_KW = dict(edges_per_delta=6, feature_updates_per_delta=2,
                 add_node_every=4, seed=11)
@@ -65,17 +67,15 @@ CHILD = textwrap.dedent("""
     store_dir, wal_dir = sys.argv[1], sys.argv[2]
     from repro.graph import load_node_dataset
     from repro.store import open_store
-    from repro.stream import MutationLog, make_churn_deltas
-    ds = open_store(store_dir, mode="r+")
-    ds.attach_wal(MutationLog(wal_dir, snapshot_every={snapshot_every}),
-                  checkpoint_every={checkpoint_every})
+    from repro.stream import MutationLog, log_apply, make_churn_deltas
+    ds = open_store(store_dir)
+    log = MutationLog(wal_dir, snapshot_every={snapshot_every})
     base = load_node_dataset({dataset!r}, scale={scale}, seed={data_seed})
     deltas = make_churn_deltas(base, {num_deltas}, **{churn_kw!r})
     for d in deltas:
-        ds.apply_delta(d)
+        log_apply(log, ds, d)
         print("v", ds.graph_version, flush=True)
-""").format(snapshot_every=SNAPSHOT_EVERY,
-            checkpoint_every=CHECKPOINT_EVERY, dataset=DATASET,
+""").format(snapshot_every=SNAPSHOT_EVERY, dataset=DATASET,
             scale=SCALE, data_seed=DATA_SEED, num_deltas=NUM_DELTAS,
             churn_kw=CHURN_KW)
 
@@ -131,12 +131,11 @@ def _recovery_phase(tmp_dir: str, config, deltas, probe) -> dict:
 
     t0 = _clock.now()
     log = MutationLog(wal_dir, snapshot_every=SNAPSHOT_EVERY)
-    recovered = open_store(store_dir, mode="r+")
-    base_version = int(recovered.graph_version)
-    replayed = recovered.attach_wal(log, checkpoint_every=CHECKPOINT_EVERY)
+    recovered = log.recover()
     recovery_s = _clock.now() - t0
     recovered_version = int(recovered.graph_version)
     acked_version = int(log.last_version)  # before the resume churn below
+    snap = log.latest_snapshot()  # the one recovery started from
 
     # the uninterrupted run, stopped at the recovered version
     reference = load_node_dataset(DATASET, scale=SCALE, seed=DATA_SEED)
@@ -154,7 +153,7 @@ def _recovery_phase(tmp_dir: str, config, deltas, probe) -> dict:
 
     # recovery is not a dead end: finish the sequence and re-compare
     for d in deltas[recovered_version:]:
-        recovered.apply_delta(d)
+        log_apply(log, recovered, d)
     for d in deltas[recovered_version:]:
         apply_delta(reference, d)
     bitwise_at_end = (
@@ -164,13 +163,12 @@ def _recovery_phase(tmp_dir: str, config, deltas, probe) -> dict:
         and np.array_equal(_predict(config, recovered, probe),
                            _predict(config, reference, probe)))
 
-    snap = log.latest_snapshot()
     return {
         "killed_at_version": seen,
         "recovered_version": recovered_version,
         "log_last_version": acked_version,
-        "chunk_base_version": base_version,
-        "replayed_records": int(replayed),
+        "replayed_records":
+            recovered_version - int(recovered.manifest.graph_version),
         "truncated_tail_bytes": int(log.truncated_tail_bytes),
         "snapshot_version": None if snap is None else snap[0],
         "recovery_s": recovery_s,
@@ -233,7 +231,6 @@ def _run(tmp_dir: str) -> dict:
     return {
         "dataset": DATASET, "scale": SCALE, "num_nodes": base.num_nodes,
         "num_deltas": NUM_DELTAS, "kill_after": KILL_AFTER,
-        "checkpoint_every": CHECKPOINT_EVERY,
         "snapshot_every": SNAPSHOT_EVERY,
         "recovery": _recovery_phase(tmp_dir, config, deltas, probe),
         "replica": _replica_phase(tmp_dir, config, deltas, probe),
@@ -274,7 +271,9 @@ def test_wal_recovery(benchmark, save_report, results_dir,
         json.dump(r, f, indent=2, sort_keys=True)
         f.write("\n")
 
-    # gate (a): recovery reaches exactly the log's acknowledged version
+    # gate (a): recovery starts from a snapshot and reaches exactly the
+    # log's acknowledged version
+    assert rec["snapshot_version"] is not None
     assert rec["recovered_version"] == rec["log_last_version"]
     assert rec["recovered_version"] >= KILL_AFTER
     # gate (b): bitwise — state and logits identical to the run that

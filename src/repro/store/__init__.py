@@ -14,10 +14,11 @@ arrays chunked along the node axis at one shared set of row boundaries
 :class:`ChunkCache`; :class:`StoredNodeDataset` (via :func:`open_store`)
 wraps it all in the ``NodeDataset`` access surface, so
 :class:`~repro.api.Session`, the serve tiers and the trainers work
-unchanged.  Streaming :class:`~repro.stream.GraphDelta` mutations
-rewrite only the chunks they intersect and bump the manifest's
-``graph_version`` (writable stores) or overlay in RAM (read-only
-stores, e.g. a cluster's shared store).
+unchanged.  A store is read-only once written: streaming
+:class:`~repro.stream.GraphDelta` mutations overlay in RAM (so a
+cluster's shared store stays pristine), and a
+:class:`~repro.stream.MutationLog` with its snapshots is what makes
+them durable.
 
 Quick start::
 
@@ -43,7 +44,7 @@ from .format import (
     load_manifest,
     write_manifest,
 )
-from .writer import block_boundaries, rewrite_store_delta, write_store
+from .writer import block_boundaries, write_store
 
 __all__ = [
     "STORE_FORMAT",
@@ -59,6 +60,5 @@ __all__ = [
     "StoredNodeDataset",
     "open_store",
     "write_store",
-    "rewrite_store_delta",
     "block_boundaries",
 ]

@@ -14,8 +14,7 @@ gather.
 A read-only store that receives a :class:`~repro.stream.GraphDelta`
 mutates through the **overlay**: in-place row updates become patch rows
 and appended nodes become a tail block, both held in RAM and composed
-over the immutable chunk files at read time.  Writable stores rewrite
-the touched chunk files instead and never grow an overlay.
+over the immutable chunk files at read time.
 """
 
 from __future__ import annotations
@@ -34,9 +33,8 @@ class ChunkedRowArray:
     """A row-chunked, mmap-backed, cache-fronted read-only array.
 
     Direct writes raise — mutation goes through
-    :meth:`~repro.store.StoredNodeDataset.apply_delta`, which either
-    rewrites chunk files (writable stores) or installs overlay rows
-    here via :meth:`apply_updates` / :meth:`append_rows`.
+    :meth:`~repro.store.StoredNodeDataset.apply_delta`, which installs
+    overlay rows here via :meth:`apply_updates` / :meth:`append_rows`.
     """
 
     def __init__(self, store_dir: str, name: str, spec, cache,
@@ -188,7 +186,7 @@ class ChunkedRowArray:
                 out[patched] = self._patch_vals[pi]
         return out
 
-    # -- overlay (read-only stores receiving deltas) ------------------------ #
+    # -- overlay (deltas applied to the store) ------------------------------ #
     def apply_updates(self, rows: np.ndarray, values: np.ndarray) -> None:
         """Overlay in-place row updates (later updates win per row).
 

@@ -105,20 +105,6 @@ class ChunkCache(StatBlock):
             self._obs_bytes.add(-nbytes)
             self.bump("evictions")
 
-    def evict(self, key) -> bool:
-        """Drop one entry regardless of recency (not counted as an
-        eviction — this is invalidation, e.g. after a chunk rewrite);
-        pinned entries are left in place.  Returns whether it was
-        cached."""
-        if self._pins.get(key):
-            return False
-        entry = self._entries.pop(key, None)
-        if entry is None:
-            return False
-        self._bytes -= entry[1]
-        self._obs_bytes.add(-entry[1])
-        return True
-
     # -- pinning ----------------------------------------------------------- #
     def pin(self, key) -> None:
         """Hold ``key`` in the pinned tier (pins nest; see :meth:`unpin`)."""

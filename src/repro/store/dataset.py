@@ -12,23 +12,15 @@ split masks, blocks) and the CSR graph are materialized on first access
 — features dominate dataset bytes, and the engines need the whole
 topology anyway.
 
-Streaming composes: :func:`repro.stream.apply_delta` dispatches to
+A store directory is read-only once written.  Streaming composes:
+:func:`repro.stream.apply_delta` dispatches to
 :meth:`StoredNodeDataset.apply_delta`, which routes topology through
-the incremental CSR rebuild and then either **rewrites only the chunks
-the delta's rows intersect** (``mode="r+"``, with a manifest
-``graph_version`` bump — reopening the store resumes the mutation
-history) or holds the changes as an in-RAM overlay (``mode="r"``, the
-cluster-worker case where the shared store on disk must stay pristine).
-
-With a :class:`~repro.stream.MutationLog` attached
-(:meth:`StoredNodeDataset.attach_wal`), chunk rewrites stop being an
-independent persistence path and become **log-driven checkpoints**:
-every delta is appended to the WAL first, applied as an overlay, and
-the touched chunks are rewritten in batches at the checkpoint cadence.
-A crash between checkpoints loses nothing — the manifest's
-``graph_version`` says where the chunk files stand and
-:meth:`~repro.stream.MutationLog.replay` carries the store forward
-from exactly there.
+the incremental CSR rebuild and holds feature changes as an in-RAM
+overlay, so a shared store on disk stays pristine under every worker.
+Durability is the WAL's job: :func:`repro.stream.log_apply` appends
+each delta before applying it, and
+:meth:`~repro.stream.MutationLog.snapshot` writes complete stores that
+:meth:`~repro.stream.MutationLog.recover` reopens and replays onto.
 """
 
 from __future__ import annotations
@@ -39,11 +31,10 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..graph.datasets import PaperStats
-from ..stream.apply import DeltaReport
+from ..stream.apply import DeltaReport, finish_delta
 from .array import ChunkedRowArray
 from .chunks import DEFAULT_CACHE_BYTES, ChunkCache
 from .format import Manifest, load_manifest
-from .writer import rewrite_store_delta
 
 __all__ = ["StoredNodeDataset", "open_store"]
 
@@ -51,43 +42,28 @@ __all__ = ["StoredNodeDataset", "open_store"]
 class StoredNodeDataset:
     """A node-level dataset served out of a chunked on-disk store.
 
-    ``mode="r"`` (default) never writes: deltas applied to it live in
-    an in-RAM overlay and die with the process.  ``mode="r+"`` persists
-    deltas by rewriting exactly the touched chunks and committing a
-    version-bumped manifest.  With a WAL attached
-    (:meth:`attach_wal`), writable stores switch to
-    append-then-overlay with batched chunk rewrites at checkpoints.
+    Never writes: deltas applied to it live in an in-RAM overlay and
+    die with the process (a :class:`~repro.stream.MutationLog` is what
+    makes them durable).
     """
 
     def __init__(self, path: str | os.PathLike,
-                 cache_bytes: int = DEFAULT_CACHE_BYTES,
-                 mode: str = "r"):
-        if mode not in ("r", "r+"):
-            raise ValueError(f"mode must be 'r' or 'r+', got {mode!r}")
+                 cache_bytes: int = DEFAULT_CACHE_BYTES):
         self.path = os.fspath(path)
-        self.mode = mode
         self.cache = ChunkCache(cache_bytes)
-        self._install_manifest(load_manifest(self.path))
-        self.graph_version = self._manifest.graph_version
-        self.paper = (PaperStats(**self._manifest.paper)
-                      if self._manifest.paper else None)
-        self._num_nodes = self._manifest.num_nodes
-        self._graph: CSRGraph | None = None
-        self._small: dict[str, np.ndarray | None] = {}
-        self.wal = None
-        self._wal_replaying = False
-        self._wal_checkpoint_every = 0
-        self._wal_pending: list = []
-
-    def _install_manifest(self, manifest: Manifest) -> None:
-        """(Re)build the lazy views from a manifest (open, post-delta)."""
+        manifest = load_manifest(self.path)
         self._manifest = manifest
         self.name = manifest.name
         self.num_classes = manifest.num_classes
-        bounds = np.asarray(manifest.row_bounds, dtype=np.int64)
-        self.features = ChunkedRowArray(self.path, "features",
-                                        manifest.arrays["features"],
-                                        self.cache, bounds)
+        self.features = ChunkedRowArray(
+            self.path, "features", manifest.arrays["features"], self.cache,
+            np.asarray(manifest.row_bounds, dtype=np.int64))
+        self.graph_version = manifest.graph_version
+        self.paper = (PaperStats(**manifest.paper)
+                      if manifest.paper else None)
+        self._num_nodes = manifest.num_nodes
+        self._graph: CSRGraph | None = None
+        self._small: dict[str, np.ndarray | None] = {}
 
     # -- NodeDataset surface ---------------------------------------------- #
     @property
@@ -210,7 +186,7 @@ class StoredNodeDataset:
         Two opens of the same (byte-identical) store share it, so the
         serving caches keyed through
         :func:`repro.graph.dataset_fingerprint` coalesce across
-        handles; every persisted delta changes it.
+        handles; overlaid deltas never change it.
         """
         return self._manifest.fingerprint()
 
@@ -230,159 +206,41 @@ class StoredNodeDataset:
 
     # -- streaming ----------------------------------------------------------- #
     def apply_delta(self, delta) -> DeltaReport:
-        """Apply a :class:`~repro.stream.GraphDelta` through the store.
+        """Apply a :class:`~repro.stream.GraphDelta` as an in-RAM overlay.
 
         Topology goes through the incremental
         :meth:`~repro.graph.CSRGraph.apply_edge_delta` (bitwise-equal
-        to a rebuild).  On a writable store the touched chunks are
-        rewritten and the manifest committed with a bumped
-        ``graph_version``; on a read-only store the same changes are
-        held as an in-RAM overlay (patch rows + appended tail) and the
-        files stay untouched.  :func:`repro.stream.apply_delta`
-        dispatches here, so sessions and servers need no special case.
-
-        With a WAL attached the delta is appended to the log *first*
-        (write-ahead), applied as an overlay, and buffered for the
-        next :meth:`checkpoint`; chunk rewrites happen only there.
+        to a rebuild); feature updates become patch rows and fresh
+        nodes an appended tail, and the chunk files stay untouched.
+        Labels, masks, the version bump and the stream metrics go
+        through the tail the in-memory path shares
+        (:func:`repro.stream.apply.finish_delta`), so
+        :func:`repro.stream.apply_delta` dispatches here and sessions
+        and servers need no special case.
         """
         delta.validate(self)
-        if self.wal is not None and not self._wal_replaying:
-            self.wal.append(delta, int(self.graph_version) + 1)
         graph, touched = self.graph.apply_edge_delta(
             delta.add_edges, delta.remove_edges,
             num_new_nodes=delta.num_new_nodes)
-        k = delta.num_new_nodes
-        if k:
-            labels = (delta.new_labels if delta.new_labels is not None
-                      else np.zeros(k, dtype=np.int64))
-            self.labels = np.concatenate([self.labels, labels])
-            pad = np.zeros(k, dtype=bool)
-            self.train_mask = np.concatenate([self.train_mask, pad])
-            self.val_mask = np.concatenate([self.val_mask, pad])
-            self.test_mask = np.concatenate([self.test_mask, pad])
-            if self.blocks is not None:
-                self.blocks = np.concatenate(
-                    [self.blocks, -np.ones(k, dtype=self.blocks.dtype)])
-        updated = (0 if delta.update_nodes is None
-                   else len(delta.update_nodes))
-        if self.mode == "r+" and self.wal is None:
-            node_arrays = {"labels": self.labels,
-                           "train_mask": self.train_mask,
-                           "val_mask": self.val_mask,
-                           "test_mask": self.test_mask}
-            if self.blocks is not None:
-                node_arrays["blocks"] = self.blocks
-            manifest, rewritten = rewrite_store_delta(
-                self.path, self._manifest, delta, graph, touched,
-                node_arrays,
-                read_feature_chunk=self.features.chunk)
-            for key in rewritten:
-                self.cache.evict(key)
-            self._install_manifest(manifest)
-            self.graph_version = manifest.graph_version
-        else:
-            if k:
-                self.features.append_rows(delta.new_features)
-            if delta.update_nodes is not None:
-                self.features.apply_updates(delta.update_nodes,
-                                            delta.update_features)
-            self.graph_version = int(self.graph_version) + 1
-            if self.wal is not None:
-                self._wal_pending.append((delta, graph, touched))
-        self.graph = graph
-        report = DeltaReport(
-            graph_version=int(self.graph_version),
-            touched_rows=touched,
-            num_nodes=graph.num_nodes,
-            num_edges=graph.num_edges,
-            nodes_added=k,
-            features_updated=updated,
-        )
-        if (self.wal is not None and self._wal_checkpoint_every
-                and len(self._wal_pending) >= self._wal_checkpoint_every):
-            self.checkpoint()
-        return report
-
-    # -- durability ---------------------------------------------------------- #
-    def attach_wal(self, log, checkpoint_every: int = 8) -> int:
-        """Put a :class:`~repro.stream.MutationLog` in front of this store.
-
-        Requires ``mode="r+"`` (checkpoints rewrite chunk files).
-        From here on every delta is appended to ``log`` before it is
-        applied, held as an overlay, and persisted in batches: once
-        ``checkpoint_every`` deltas accumulate (0 = only on explicit
-        :meth:`checkpoint` calls) the touched chunks are rewritten and
-        the manifest committed at the log's version.  Any log records
-        past the manifest's ``graph_version`` are replayed immediately
-        (crash catch-up) and checkpointed; returns the number replayed.
-        """
-        if self.mode != "r+":
-            raise ValueError(
-                "attach_wal requires a writable store (mode='r+'); "
-                f"this store is mode={self.mode!r}")
-        if self.wal is not None:
-            raise ValueError("a MutationLog is already attached")
-        self.wal = log
-        self._wal_checkpoint_every = int(checkpoint_every)
-        applied = log.replay(self)
-        if self._wal_pending:
-            self.checkpoint()
-        return applied
-
-    def checkpoint(self) -> int:
-        """Persist every pending WAL-logged delta by rewriting chunks.
-
-        Replays the buffered ``(delta, graph, touched)`` triples
-        through the same incremental chunk rewrite the non-WAL
-        writable path uses, committing one version-bumped manifest per
-        delta (each commit is atomic: chunks first, manifest last), so
-        a crash mid-checkpoint leaves the store at some intermediate
-        ``graph_version`` from which WAL replay resumes.  Afterwards
-        the manifest matches the live ``graph_version`` and the
-        overlay is empty.  Returns the number of deltas persisted.
-        """
-        if self.wal is None:
-            raise ValueError("no MutationLog attached (see attach_wal)")
-        if not self._wal_pending:
-            return 0
-        manifest = self._manifest
-        for delta, graph, touched in self._wal_pending:
-            # labels/masks/blocks rows never change after creation, so
-            # slicing the final arrays to this step's node count yields
-            # exactly the arrays as of that version
-            n = graph.num_nodes
-            node_arrays = {"labels": self.labels[:n],
-                           "train_mask": self.train_mask[:n],
-                           "val_mask": self.val_mask[:n],
-                           "test_mask": self.test_mask[:n]}
-            if self.blocks is not None:
-                node_arrays["blocks"] = self.blocks[:n]
-            manifest, rewritten = rewrite_store_delta(
-                self.path, manifest, delta, graph, touched,
-                node_arrays,
-                read_feature_chunk=self.features.chunk)
-            for key in rewritten:
-                self.cache.evict(key)
-            self._install_manifest(manifest)
-        count = len(self._wal_pending)
-        self._wal_pending.clear()
-        return count
+        if delta.num_new_nodes:
+            self.features.append_rows(delta.new_features)
+        if delta.update_nodes is not None:
+            self.features.apply_updates(delta.update_nodes,
+                                        delta.update_features)
+        return finish_delta(self, delta, graph, touched)
 
     def __repr__(self) -> str:
         return (f"StoredNodeDataset({self.name!r}, path={self.path!r}, "
                 f"nodes={self.num_nodes}, "
-                f"chunks={self._manifest.num_chunks}, mode={self.mode!r}, "
+                f"chunks={self._manifest.num_chunks}, "
                 f"graph_version={self.graph_version})")
 
 
 def open_store(path: str | os.PathLike,
-               cache_bytes: int = DEFAULT_CACHE_BYTES,
-               mode: str = "r") -> StoredNodeDataset:
-    """Open a store directory as a serve-ready dataset.
+               cache_bytes: int = DEFAULT_CACHE_BYTES) -> StoredNodeDataset:
+    """Open a store directory as a serve-ready, read-only dataset.
 
     ``cache_bytes`` budgets the chunk cache (see
-    :class:`~repro.store.ChunkCache`); ``mode="r+"`` makes
-    :meth:`StoredNodeDataset.apply_delta` persist by rewriting touched
-    chunks instead of overlaying in RAM.
+    :class:`~repro.store.ChunkCache`).
     """
-    return StoredNodeDataset(path, cache_bytes=cache_bytes, mode=mode)
+    return StoredNodeDataset(path, cache_bytes=cache_bytes)

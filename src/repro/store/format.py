@@ -14,11 +14,10 @@ A store directory holds one JSON **manifest** (``manifest.json``) and a
 
 Every persisted array is split into chunks along the **node axis** at a
 single shared set of row boundaries (``Manifest.row_bounds``), so chunk
-``i`` of every array covers the same node span — the property that lets a
-:class:`~repro.stream.GraphDelta` rewrite exactly the chunks whose rows
-it intersects.  Chunk files are raw C-contiguous little-endian bytes
-(``numpy`` ``tobytes``), which is what makes ``mmap`` loads possible:
-:func:`numpy.memmap` can view a chunk file directly with no parsing.
+``i`` of every array covers the same node span.  Chunk files are raw
+C-contiguous little-endian bytes (``numpy`` ``tobytes``), which is what
+makes ``mmap`` loads possible: :func:`numpy.memmap` can view a chunk
+file directly with no parsing.
 
 The CSR graph is stored as two node-chunked arrays: ``graph_degrees``
 (per-node degree, from which ``indptr`` is a cumulative sum) and
@@ -109,10 +108,10 @@ class Manifest:
 
     ``row_bounds`` is the shared node-axis chunking: chunk ``i`` of
     every array covers rows ``[row_bounds[i], row_bounds[i+1])``.
-    ``graph_version`` is the dataset's monotonic mutation counter —
-    bumped by every :class:`~repro.stream.GraphDelta` written through
-    :meth:`repro.store.StoredNodeDataset.apply_delta`, so a reopened
-    store resumes exactly where the mutation history left it.
+    ``graph_version`` is the dataset's monotonic mutation counter as
+    of the write — a :meth:`~repro.stream.MutationLog.snapshot` stamps
+    it, so a reopened store resumes exactly where the mutation history
+    left it.
     """
 
     name: str
@@ -170,8 +169,8 @@ class Manifest:
         """SHA-256 hex of the canonical manifest — the store's content id.
 
         Covers the chunk tables (files, shapes, byte counts), the row
-        boundaries and ``graph_version``; any delta written to the
-        store changes it, two byte-identical stores share it.
+        boundaries and ``graph_version``; two byte-identical stores
+        share it.
         """
         return hashlib.sha256(self.dumps().encode()).hexdigest()
 

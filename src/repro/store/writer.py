@@ -1,4 +1,4 @@
-"""Writing stores: full conversion and touched-chunk delta rewrites.
+"""Writing stores: converting a node-level dataset to chunk files.
 
 :func:`write_store` converts an in-RAM :class:`~repro.graph.NodeDataset`
 (or anything exposing its surface) into a ``repro-store-v1`` directory:
@@ -6,18 +6,11 @@ it picks the shared node-axis row boundaries (uniform ``chunk_rows``, or
 aligned to the dataset's planted block runs with ``align_blocks``),
 writes every array's chunk files, and commits the manifest.
 
-:func:`rewrite_store_delta` is the incremental path behind
-:meth:`repro.store.StoredNodeDataset.apply_delta` on writable stores:
-given an already-applied :class:`~repro.stream.GraphDelta` it rewrites
-**only** the chunks whose node rows the delta intersects — updated
-feature rows, appended node rows, and the graph blocks whose adjacency
-changed — then bumps ``graph_version`` and atomically commits the new
-manifest.  Untouched chunk files are never opened for writing, which is
-what keeps delta cost proportional to delta locality rather than store
-size.
-
-Chunk files are written tmp-then-rename, so a crash mid-delta leaves
-the old manifest pointing at intact old bytes.
+A written store is never modified in place: mutations live in RAM
+overlays, and :meth:`repro.stream.MutationLog.snapshot` persists a
+mutated dataset by writing a complete new store.  Chunk files are
+written tmp-then-rename and the manifest commits last, so a crash
+mid-write leaves no half-readable store behind.
 """
 
 from __future__ import annotations
@@ -35,7 +28,7 @@ from .format import (
     write_manifest,
 )
 
-__all__ = ["write_store", "rewrite_store_delta", "block_boundaries"]
+__all__ = ["write_store", "block_boundaries"]
 
 #: node arrays persisted besides features (all share the row boundaries)
 _NODE_ARRAYS = ("labels", "train_mask", "val_mask", "test_mask", "blocks")
@@ -164,150 +157,3 @@ def write_store(out_dir: str | os.PathLike, dataset,
     )
     write_manifest(out_dir, manifest)
     return manifest
-
-
-def _extend_bounds(manifest: Manifest, new_n: int) -> tuple:
-    """Grow the row boundaries for appended nodes.
-
-    The last chunk fills up to ``chunk_rows``, then fresh chunks of
-    ``chunk_rows`` are appended.  Returns ``(new_bounds, grown_last)``
-    where ``grown_last`` flags whether the old last chunk's span grew
-    (and therefore must be rewritten).
-    """
-    bounds = list(manifest.row_bounds)
-    old_n = manifest.num_nodes
-    cap = manifest.chunk_rows
-    grown_last = False
-    remaining = new_n - old_n
-    if remaining and len(bounds) > 1:
-        room = cap - (bounds[-1] - bounds[-2])
-        take = min(remaining, max(room, 0))
-        if take:
-            bounds[-1] += take
-            remaining -= take
-            grown_last = True
-    while remaining > 0:
-        take = min(remaining, cap)
-        bounds.append(bounds[-1] + take)
-        remaining -= take
-    return tuple(bounds), grown_last
-
-
-def rewrite_store_delta(store_dir: str, manifest: Manifest, delta,
-                        graph, touched: np.ndarray,
-                        node_arrays: dict,
-                        read_feature_chunk) -> tuple:
-    """Rewrite exactly the chunks a delta intersects; commit the manifest.
-
-    ``graph`` / ``touched`` are the post-delta CSR and its recomputed
-    rows from :meth:`~repro.graph.CSRGraph.apply_edge_delta`;
-    ``node_arrays`` maps each small node array name (labels, masks,
-    blocks) to its **already-extended** post-delta values;
-    ``read_feature_chunk(i)`` returns the pre-delta bytes of feature
-    chunk ``i`` (only called for chunks being rewritten — features are
-    never materialized wholesale).
-
-    Returns ``(new_manifest, rewritten_keys)`` where ``rewritten_keys``
-    is the ``(array_name, chunk_index)`` cache keys the caller must
-    evict.
-    """
-    old_n = manifest.num_nodes
-    new_n = graph.num_nodes
-    old_chunks = manifest.num_chunks
-    bounds, grown_last = _extend_bounds(manifest, new_n)
-    bounds_arr = np.asarray(bounds, dtype=np.int64)
-    num_chunks = len(bounds) - 1
-    rewritten: list[tuple] = []
-
-    append_chunks = set(range(old_chunks, num_chunks))
-    if grown_last:
-        append_chunks.add(old_chunks - 1)
-
-    def chunk_of(rows: np.ndarray) -> np.ndarray:
-        return np.unique(np.searchsorted(bounds_arr, rows,
-                                         side="right") - 1)
-
-    # -- features: chunks holding updated rows, plus appended spans ------ #
-    upd_rows = (np.empty(0, dtype=np.int64) if delta.update_nodes is None
-                else np.asarray(delta.update_nodes, dtype=np.int64))
-    upd_vals = (None if delta.update_features is None
-                else np.asarray(delta.update_features))
-    feat_spec = manifest.arrays["features"]
-    feat_dim = feat_spec.shape[1]
-    feat_chunks = list(feat_spec.chunks)
-    targets = set(int(c) for c in chunk_of(upd_rows)) | append_chunks
-    for i in sorted(targets):
-        r0, r1 = bounds[i], bounds[i + 1]
-        parts = []
-        if i < old_chunks and r0 < old_n:
-            parts.append(np.array(read_feature_chunk(i)))
-        if r1 > old_n and delta.num_new_nodes:
-            parts.append(np.asarray(delta.new_features)
-                         [max(r0, old_n) - old_n:r1 - old_n])
-        data = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        if len(upd_rows):
-            sel = (upd_rows >= r0) & (upd_rows < r1)
-            if sel.any():
-                data[upd_rows[sel] - r0] = upd_vals[sel]
-        ref = _write_chunk(store_dir, _chunk_file("features", i), data,
-                           feat_spec.dtype)
-        if i < len(feat_chunks):
-            feat_chunks[i] = ref
-        else:
-            feat_chunks.append(ref)
-        rewritten.append(("features", i))
-    arrays = dict(manifest.arrays)
-    arrays["features"] = ArraySpec(dtype=feat_spec.dtype,
-                                   shape=(new_n, feat_dim),
-                                   chunks=tuple(feat_chunks))
-
-    # -- small node arrays: append-affected chunks only ------------------ #
-    for name, arr in node_arrays.items():
-        spec = arrays.get(name)
-        if spec is None or not append_chunks:
-            continue
-        chunks = list(spec.chunks)
-        for i in sorted(append_chunks):
-            ref = _write_chunk(store_dir, _chunk_file(name, i),
-                               arr[bounds[i]:bounds[i + 1]], spec.dtype)
-            if i < len(chunks):
-                chunks[i] = ref
-            else:
-                chunks.append(ref)
-            rewritten.append((name, i))
-        arrays[name] = ArraySpec(dtype=spec.dtype, shape=(new_n,),
-                                 chunks=tuple(chunks))
-
-    # -- graph: blocks whose adjacency the delta recomputed -------------- #
-    graph_targets = set(int(c) for c in chunk_of(
-        np.asarray(touched, dtype=np.int64))) | append_chunks
-    degrees = np.diff(graph.indptr).astype(np.int64)
-    for name in ("graph_degrees", "graph_indices"):
-        spec = arrays[name]
-        chunks = list(spec.chunks)
-        for i in sorted(graph_targets):
-            r0, r1 = bounds[i], bounds[i + 1]
-            if name == "graph_degrees":
-                data = degrees[r0:r1]
-            else:
-                data = graph.indices[graph.indptr[r0]:graph.indptr[r1]]
-            ref = _write_chunk(store_dir, _chunk_file(name, i), data,
-                               spec.dtype)
-            if i < len(chunks):
-                chunks[i] = ref
-            else:
-                chunks.append(ref)
-            rewritten.append((name, i))
-        shape = (new_n,) if name == "graph_degrees" \
-            else (int(graph.num_edges),)
-        arrays[name] = ArraySpec(dtype=spec.dtype, shape=shape,
-                                 chunks=tuple(chunks))
-
-    new_manifest = Manifest(
-        name=manifest.name, num_nodes=new_n,
-        num_classes=manifest.num_classes,
-        chunk_rows=manifest.chunk_rows, row_bounds=bounds,
-        arrays=arrays, graph_version=manifest.graph_version + 1,
-        paper=manifest.paper)
-    write_manifest(store_dir, new_manifest)
-    return new_manifest, rewritten

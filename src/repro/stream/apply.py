@@ -48,32 +48,26 @@ class DeltaReport:
             else 0.0
 
 
-def _extend_node_arrays(dataset, delta: GraphDelta) -> None:
-    """Append the delta's fresh nodes to every per-node array."""
+def finish_delta(dataset, delta: GraphDelta, graph: CSRGraph,
+                 touched: np.ndarray) -> DeltaReport:
+    """Tail every apply path shares once features are in place.
+
+    Extends the per-node arrays (labels, split masks, blocks) for the
+    delta's fresh nodes, installs ``graph``, bumps ``graph_version``,
+    records the ``repro_stream_*`` metrics and returns the report.
+    """
     k = delta.num_new_nodes
-    dataset.features = np.concatenate(
-        [dataset.features, delta.new_features])
-    labels = (delta.new_labels if delta.new_labels is not None
-              else np.zeros(k, dtype=np.int64))
-    dataset.labels = np.concatenate([dataset.labels, labels])
-    pad = np.zeros(k, dtype=bool)
-    dataset.train_mask = np.concatenate([dataset.train_mask, pad])
-    dataset.val_mask = np.concatenate([dataset.val_mask, pad])
-    dataset.test_mask = np.concatenate([dataset.test_mask, pad])
-    if dataset.blocks is not None:
-        dataset.blocks = np.concatenate(
-            [dataset.blocks, -np.ones(k, dtype=dataset.blocks.dtype)])
-
-
-def _finish(dataset, delta: GraphDelta, graph: CSRGraph,
-            touched: np.ndarray) -> DeltaReport:
-    """Shared tail of both apply paths: features, labels, version bump."""
-    if delta.num_new_nodes:
-        _extend_node_arrays(dataset, delta)
-    updated = 0
-    if delta.update_nodes is not None:
-        dataset.features[delta.update_nodes] = delta.update_features
-        updated = len(delta.update_nodes)
+    if k:
+        labels = (delta.new_labels if delta.new_labels is not None
+                  else np.zeros(k, dtype=np.int64))
+        dataset.labels = np.concatenate([dataset.labels, labels])
+        pad = np.zeros(k, dtype=bool)
+        dataset.train_mask = np.concatenate([dataset.train_mask, pad])
+        dataset.val_mask = np.concatenate([dataset.val_mask, pad])
+        dataset.test_mask = np.concatenate([dataset.test_mask, pad])
+        if dataset.blocks is not None:
+            dataset.blocks = np.concatenate(
+                [dataset.blocks, -np.ones(k, dtype=dataset.blocks.dtype)])
     dataset.graph = graph
     dataset.graph_version = int(getattr(dataset, "graph_version", 0)) + 1
     registry = get_registry()
@@ -89,9 +83,21 @@ def _finish(dataset, delta: GraphDelta, graph: CSRGraph,
         touched_rows=touched,
         num_nodes=graph.num_nodes,
         num_edges=graph.num_edges,
-        nodes_added=delta.num_new_nodes,
-        features_updated=updated,
+        nodes_added=k,
+        features_updated=(0 if delta.update_nodes is None
+                          else len(delta.update_nodes)),
     )
+
+
+def _finish(dataset, delta: GraphDelta, graph: CSRGraph,
+            touched: np.ndarray) -> DeltaReport:
+    """In-memory feature step, then the shared :func:`finish_delta`."""
+    if delta.num_new_nodes:
+        dataset.features = np.concatenate(
+            [dataset.features, delta.new_features])
+    if delta.update_nodes is not None:
+        dataset.features[delta.update_nodes] = delta.update_features
+    return finish_delta(dataset, delta, graph, touched)
 
 
 def apply_delta(dataset, delta: GraphDelta) -> DeltaReport:
@@ -103,10 +109,10 @@ def apply_delta(dataset, delta: GraphDelta) -> DeltaReport:
     bumped ``graph_version``), and the resulting graph is bitwise
     identical to what :func:`full_rebuild` produces.
 
-    Datasets that manage their own persistence (anything exposing an
+    Datasets that hold features elsewhere (anything exposing an
     ``apply_delta`` method, e.g. :class:`repro.store.StoredNodeDataset`)
-    are dispatched to — the store rewrites exactly the chunks the delta
-    intersects and returns the same :class:`DeltaReport`.
+    are dispatched to — the store overlays its feature rows in RAM and
+    finishes through the same :func:`finish_delta`.
     """
     own_apply = getattr(dataset, "apply_delta", None)
     if own_apply is not None:

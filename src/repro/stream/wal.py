@@ -22,18 +22,17 @@ gap raises instead of applying out of order (node additions are not
 idempotent).
 
 The commit order is **validate → append → apply → snapshot** and
-:func:`log_apply` is its only implementation outside the store:
+:func:`log_apply` is its only implementation:
 :meth:`repro.api.Session.apply_delta` calls it (with the log attached
 by :meth:`~repro.api.Session.attach_wal`, or the one an
 :class:`~repro.serve.InferenceServer` hands it from ``wal=``), and so
 does the :class:`~repro.serve.ServingCluster` router for its snapshot
 mirror (``wal_dir=`` — append-then-broadcast, so a restarted router
-replays unacked deltas).  :class:`~repro.store.StoredNodeDataset`
-keeps the same order inside its own ``apply_delta`` once
-:meth:`~repro.store.StoredNodeDataset.attach_wal` turns its per-delta
-chunk rewrites into log-driven checkpoints.  Read-replica workers tail
-the same file with ``mode="r"`` (never truncating the owner's tail)
-and serve version-pinned reads at a bounded lag.
+replays unacked deltas).  Snapshots are the only persisted dataset
+state: a :mod:`repro.store` directory is read-only once written, and
+deltas applied to it live in an in-RAM overlay.  Read-replica workers
+tail the same file with ``mode="r"`` (never truncating the owner's
+tail) and serve version-pinned reads at a bounded lag.
 
 Observability: the ``repro_wal_*`` counters/gauges are pre-registered
 at construction (appends, replays, truncations, snapshot bytes,
@@ -392,35 +391,29 @@ class MutationLog:
         (exactly-once — node additions are not idempotent), a version
         gap raises :class:`WalError` instead of applying out of order,
         and ``through`` optionally stops replay at a version bound
-        (point-in-time recovery).  Datasets with their own attached log
-        (:meth:`repro.store.StoredNodeDataset.attach_wal`) are guarded
-        against re-appending what is being replayed.
+        (point-in-time recovery).
         """
         from .apply import apply_delta as _apply
 
         t0 = _now()
         applied = skipped = 0
-        dataset._wal_replaying = True
-        try:
-            for version, delta in self.records():
-                if through is not None and version > through:
-                    break
-                current = int(getattr(dataset, "graph_version", 0))
-                if version <= current:
-                    skipped += 1
-                    continue
-                if version != current + 1:
-                    raise WalError(
-                        f"replay gap: dataset at version {current}, next "
-                        f"log record is {version}")
-                _apply(dataset, delta)
-                if int(dataset.graph_version) != version:
-                    # datasets that count their own versions stay
-                    # aligned with the log's authority
-                    dataset.graph_version = version
-                applied += 1
-        finally:
-            dataset._wal_replaying = False
+        for version, delta in self.records():
+            if through is not None and version > through:
+                break
+            current = int(getattr(dataset, "graph_version", 0))
+            if version <= current:
+                skipped += 1
+                continue
+            if version != current + 1:
+                raise WalError(
+                    f"replay gap: dataset at version {current}, next "
+                    f"log record is {version}")
+            _apply(dataset, delta)
+            if int(dataset.graph_version) != version:
+                # datasets that count their own versions stay
+                # aligned with the log's authority
+                dataset.graph_version = version
+            applied += 1
         t1 = _now()
         if applied:
             self._obs_counters["replayed"].inc(applied)
@@ -535,16 +528,9 @@ def log_apply(log: MutationLog, dataset, delta,
     (the cluster router, a log being tailed) passes its own, and a
     dataset that had fallen behind is aligned to it, as
     :meth:`MutationLog.replay` does.
-
-    A dataset whose *own* attached log is ``log``
-    (:meth:`repro.store.StoredNodeDataset.attach_wal`) runs the same
-    order internally and is dispatched straight to apply — attaching
-    the same log at two tiers never double-logs a delta.
     """
     from .apply import apply_delta as _apply
 
-    if getattr(dataset, "wal", None) is log:
-        return _apply(dataset, delta)
     assigned = version is not None
     if not assigned:
         version = int(getattr(dataset, "graph_version", 0)) + 1

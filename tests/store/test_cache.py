@@ -67,24 +67,11 @@ class TestPinning:
         cache.pin("k")
         cache.pin("k")
         cache.unpin("k")
-        assert not cache.evict("k")  # one pin still held
+        cache.get("a", lambda: block(10))  # over budget: k is LRU
+        assert "k" in cache  # one pin still held
         cache.unpin("k")
-        assert cache.evict("k")
-
-    def test_evict_refuses_pinned(self):
-        cache = ChunkCache(budget_bytes=100)
-        cache.get("k", lambda: block(5))
-        with cache.pinned(["k"]):
-            assert cache.evict("k") is False
-            assert "k" in cache
-        assert cache.evict("k") is True
+        cache.get("b", lambda: block(10))
         assert "k" not in cache
-
-    def test_invalidation_not_counted_as_eviction(self):
-        cache = ChunkCache(budget_bytes=100)
-        cache.get("k", lambda: block(5))
-        cache.evict("k")
-        assert cache.stats()["evictions"] == 0
 
 
 class TestValidation:

@@ -5,7 +5,7 @@ import numpy as np
 
 from repro.serve import ServingCluster
 from repro.serve.worker import WorkerInit
-from repro.store import open_store
+from repro.store import open_store, write_store
 from repro.stream import GraphDelta, apply_delta
 
 
@@ -68,12 +68,14 @@ class TestSharedStoreMutation:
             assert fut.result(timeout=30).tobytes() != before.tobytes()
 
     def test_version_authority_resumes_from_manifest(self, dataset,
-                                                     run_config, store_dir):
-        # persist one delta into the store, then start a fresh cluster:
-        # the router must continue the version history, not restart at 0
-        st = open_store(store_dir, mode="r+")
-        apply_delta(st, GraphDelta(add_edges=[[0, 1]]))
-        assert st.graph_version == 1
+                                                     run_config, tmp_path):
+        # a store written at version 1 (what a WAL snapshot cuts), then
+        # a fresh cluster: the router must continue the version history,
+        # not restart at 0
+        apply_delta(dataset, GraphDelta(add_edges=[[0, 1]]))
+        assert dataset.graph_version == 1
+        store_dir = str(tmp_path / "v1.store")
+        write_store(store_dir, dataset, chunk_rows=64)
         with make_cluster(run_config, store_dir) as cluster:
             assert cluster.graph_version(run_config) == 1
             mfut = cluster.submit_delta(run_config,

@@ -68,7 +68,8 @@ class TestReadOnlySafety:
             chunk[0, 0] = 42.0
 
     def test_bad_mode_rejected(self, store_dir):
-        with pytest.raises(ValueError, match="mode"):
+        # handles are read-only: there is no mode to ask for
+        with pytest.raises(TypeError, match="mode"):
             open_store(store_dir, mode="w")
 
     def test_missing_chunk_file_reported(self, store_dir, tmp_path):

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.graph import load_node_dataset
-from repro.store import open_store, write_store
 from repro.stream import (
     CorruptRecordError,
     GraphDelta,
@@ -310,68 +309,6 @@ class TestSnapshotRecover:
         assert log.latest_snapshot() is None
 
 
-class TestStoreAttach:
-    def _store(self, tmp_path, dataset):
-        store_dir = tmp_path / "store"
-        write_store(store_dir, dataset, chunk_rows=64)
-        return open_store(store_dir, mode="r+")
-
-    def test_checkpoints_match_plain_rewrites_bitwise(self, tmp_path,
-                                                      dataset):
-        deltas = churn(dataset, 5, feature_updates_per_delta=2,
-                       add_node_every=2)
-        # reference: the old path, one chunk rewrite per delta
-        ref_dir = tmp_path / "ref"
-        write_store(ref_dir, dataset, chunk_rows=64)
-        ref = open_store(ref_dir, mode="r+")
-        for d in deltas:
-            ref.apply_delta(d)
-
-        wal_ds = self._store(tmp_path, dataset)
-        applied = wal_ds.attach_wal(
-            MutationLog(tmp_path / "wal"), checkpoint_every=2)
-        assert applied == 0
-        for d in deltas:
-            wal_ds.apply_delta(d)
-        wal_ds.checkpoint()  # flush the trailing partial batch
-        assert wal_ds.graph_version == ref.graph_version == 5
-        for got, want in [(wal_ds.features[:], ref.features[:]),
-                          (wal_ds.labels, ref.labels)]:
-            assert np.array_equal(np.asarray(got), np.asarray(want))
-        assert np.array_equal(wal_ds.graph.indptr, ref.graph.indptr)
-        assert np.array_equal(wal_ds.graph.indices, ref.graph.indices)
-        # cold reopen: everything above survived to disk
-        cold = open_store(tmp_path / "store")
-        assert cold.graph_version == 5
-        assert np.array_equal(np.asarray(cold.features[:]),
-                              np.asarray(ref.features[:]))
-
-    def test_attach_replays_catchup_and_requires_rplus(self, tmp_path,
-                                                       dataset):
-        deltas = churn(dataset, 3)
-        log = MutationLog(tmp_path / "wal")
-        wal_ds = self._store(tmp_path, dataset)
-        wal_ds.attach_wal(log, checkpoint_every=100)
-        for d in deltas[:2]:
-            wal_ds.apply_delta(d)
-        # crash before any checkpoint: reopen sees the base manifest,
-        # attach replays the log back to version 2
-        reopened = open_store(tmp_path / "store", mode="r+")
-        assert reopened.graph_version == 0
-        assert reopened.attach_wal(MutationLog(tmp_path / "wal"),
-                                   checkpoint_every=100) == 2
-        assert reopened.graph_version == 2
-        with pytest.raises(ValueError):
-            open_store(tmp_path / "store").attach_wal(
-                MutationLog(tmp_path / "wal2"))
-
-    def test_double_attach_refused(self, tmp_path, dataset):
-        wal_ds = self._store(tmp_path, dataset)
-        wal_ds.attach_wal(MutationLog(tmp_path / "wal"))
-        with pytest.raises(ValueError):
-            wal_ds.attach_wal(MutationLog(tmp_path / "wal2"))
-
-
 class TestSessionAttach:
     def test_session_logs_and_recovers_bitwise(self, tmp_path):
         from repro.api import (
@@ -436,15 +373,3 @@ def test_log_apply_records_an_assigned_version(tmp_path, dataset):
     assert log.last_version == 4
     assert dataset.graph_version == 4
     assert report.graph_version == 1  # what the apply itself produced
-
-
-def test_store_attach_wal_refuses_before_durable(tmp_path, dataset):
-    write_store(tmp_path / "store", dataset, chunk_rows=64)
-    stored = open_store(tmp_path / "store", mode="r+")
-    log = MutationLog(tmp_path / "wal")
-    stored.attach_wal(log)
-    with pytest.raises(ValueError, match="out of range"):
-        stored.apply_delta(_out_of_range(stored))
-    assert log.record_count == 0
-    stored.apply_delta(churn(dataset, 1)[0])
-    assert (log.last_version, stored.graph_version) == (1, 1)

@@ -1,14 +1,14 @@
 """Crash recovery: SIGKILL a mutating process, replay, compare bitwise.
 
 The end-to-end durability gate (satellite of
-``benchmarks/bench_wal_recovery.py``): a child process churns deltas
-through a store-backed dataset with an attached
-:class:`~repro.stream.MutationLog`, the parent SIGKILLs it mid-churn —
-no atexit, no flush, possibly mid-append — and recovery
-(snapshot/chunk state + WAL replay) must land on exactly the version
-the log last acknowledged, with logits *bitwise identical* to an
-uninterrupted run stopped at that version, and every delta applied
-exactly once.
+``benchmarks/bench_wal_recovery.py``): a child process commits deltas
+through :func:`~repro.stream.log_apply` onto a read-only store, cutting
+a snapshot every two versions, and the parent SIGKILLs it mid-churn —
+no atexit, no flush, possibly mid-append.  Recovery
+(:meth:`~repro.stream.MutationLog.recover`: latest snapshot + WAL
+replay) must land on exactly the version the log last acknowledged,
+with logits *bitwise identical* to an uninterrupted run stopped at
+that version, and every delta applied exactly once.
 """
 
 import os
@@ -29,13 +29,15 @@ from repro.api import (
     TrainConfig,
 )
 from repro.graph import load_node_dataset
-from repro.store import open_store, write_store
-from repro.stream import MutationLog, apply_delta, make_churn_deltas
+from repro.obs.metrics import get_registry
+from repro.store import write_store
+from repro.stream import MutationLog, apply_delta, log_apply, make_churn_deltas
 
 SCALE = 0.02
 SEED = 7
 NUM_DELTAS = 10
 KILL_AFTER = 4  # SIGKILL once the child reports this version applied
+SNAPSHOT_EVERY = 2
 
 # the child regenerates exactly this sequence (seeded, non-mutating)
 CHURN_KW = dict(edges_per_delta=4, feature_updates_per_delta=2,
@@ -46,16 +48,16 @@ CHILD = textwrap.dedent("""
     store_dir, wal_dir = sys.argv[1], sys.argv[2]
     from repro.graph import load_node_dataset
     from repro.store import open_store
-    from repro.stream import MutationLog, make_churn_deltas
-    ds = open_store(store_dir, mode="r+")
-    ds.attach_wal(MutationLog(wal_dir), checkpoint_every=2)
+    from repro.stream import MutationLog, log_apply, make_churn_deltas
+    ds = open_store(store_dir)
+    log = MutationLog(wal_dir, snapshot_every={snapshot_every})
     base = load_node_dataset("flickr", scale={scale}, seed={seed})
     deltas = make_churn_deltas(base, {num_deltas}, **{churn_kw!r})
     for d in deltas:
-        ds.apply_delta(d)
+        log_apply(log, ds, d)
         print("v", ds.graph_version, flush=True)
 """).format(scale=SCALE, seed=SEED, num_deltas=NUM_DELTAS,
-            churn_kw=CHURN_KW)
+            churn_kw=CHURN_KW, snapshot_every=SNAPSHOT_EVERY)
 
 
 def _config() -> RunConfig:
@@ -107,13 +109,16 @@ class TestKillMidChurnRecovery:
         seen = _run_and_kill(store_dir, wal_dir)
 
         # recovery: reopen the log (torn-tail truncation happens here),
-        # reopen the store, replay what the chunks are missing
+        # open its latest snapshot, replay the records past it
         log = MutationLog(wal_dir)
         assert log.last_version >= seen  # every acked apply was logged
-        recovered = open_store(store_dir, mode="r+")
-        base_version = int(recovered.graph_version)
-        applied = recovered.attach_wal(log, checkpoint_every=2)
-        assert applied == log.last_version - base_version
+        snap_version = log.latest_snapshot()[0]
+        assert 0 < snap_version <= log.last_version
+        replayed = get_registry().get("repro_wal_replayed_total")
+        before = replayed.value()
+        recovered = log.recover()
+        assert recovered.manifest.graph_version == snap_version
+        assert replayed.value() - before == log.last_version - snap_version
         assert int(recovered.graph_version) == log.last_version
 
         # exactly-once: a second replay of the same log applies nothing
@@ -146,14 +151,13 @@ class TestKillMidChurnRecovery:
         store_dir, wal_dir = store_and_wal
         _run_and_kill(store_dir, wal_dir)
 
-        log = MutationLog(wal_dir)
-        recovered = open_store(store_dir, mode="r+")
-        recovered.attach_wal(log, checkpoint_every=2)
+        log = MutationLog(wal_dir, snapshot_every=SNAPSHOT_EVERY)
+        recovered = log.recover()
 
         reference = load_node_dataset("flickr", scale=SCALE, seed=SEED)
         deltas = make_churn_deltas(reference, NUM_DELTAS, **CHURN_KW)
         for d in deltas[log.last_version:]:
-            recovered.apply_delta(d)
+            log_apply(log, recovered, d)
         for d in deltas:
             apply_delta(reference, d)
         assert int(recovered.graph_version) == NUM_DELTAS
@@ -161,7 +165,9 @@ class TestKillMidChurnRecovery:
                               reference.graph.indptr)
         assert np.array_equal(np.asarray(recovered.features[:]),
                               np.asarray(reference.features))
-        # and the log is complete: a cold store replays to the end
-        cold = open_store(store_dir, mode="r+")
-        cold.attach_wal(MutationLog(wal_dir), checkpoint_every=100)
+        # and the log is complete: a cold recovery replays to the end
+        log.close()
+        cold = MutationLog(wal_dir).recover()
         assert int(cold.graph_version) == NUM_DELTAS
+        assert np.array_equal(np.asarray(cold.features[:]),
+                              np.asarray(reference.features))
