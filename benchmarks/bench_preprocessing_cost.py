@@ -18,10 +18,11 @@ from conftest import small_graphormer_config
 def _run():
     """Rows of (dataset, preprocessing s, training s, largest share allowed).
 
-    The bounds are what the bit-parallel SPD kernel reaches plus headroom:
-    0.7–1.4% measured on the arxiv-like run (3.4–3.6% before it, paper
-    5.4%) and 12.5–13% on the malnet-like one (15–18% before), where the
-    Laplacian eigensolve of twelve graphs over ten epochs now dominates.
+    The bounds are what the bit-parallel SPD kernel reached plus headroom.
+    Since attention runs on BLAS, training is ≈5× shorter, so the shares
+    rose: 1.3–2.6% on the arxiv-like run (paper 5.4%) and 11–14% on the
+    malnet-like one, and they stay there only because Graphormer skips the
+    Laplacian eigensolve it never reads and reorder/ECR got cheaper.
     """
     rows = []
     # node-level: arxiv-like

@@ -439,8 +439,8 @@ class Session:
                         and self._infer_cache[1] == version):
                     _, _, ctx, enc = self._infer_cache
                 else:
-                    ctx, enc = prepare_inputs(engine, ds.graph, t.lap_pe_dim,
-                                              train=False)
+                    ctx, enc = prepare_inputs(engine, model, ds.graph,
+                                              t.lap_pe_dim, train=False)
                     self._stamp_context(ctx)
                     if not self._fitting:
                         self._infer_cache = (ds_key, version, ctx, enc)
@@ -459,8 +459,8 @@ class Session:
                     ctx, enc = entry[0], entry[1]
                 else:
                     graph, _ = ds.graph.subgraph(sorted_nodes)
-                    ctx, enc = prepare_inputs(engine, graph, t.lap_pe_dim,
-                                              train=False)
+                    ctx, enc = prepare_inputs(engine, model, graph,
+                                              t.lap_pe_dim, train=False)
                 feats = ds.features[sorted_nodes]
             inv = ctx.node_permutation_inverse()
             model.eval()
@@ -518,8 +518,8 @@ class Session:
         model.eval()
         with precision_scope(engine.precision), no_grad():
             for i in idx:
-                ctx, enc = prepare_inputs(engine, ds.graphs[i], t.lap_pe_dim,
-                                          train=False)
+                ctx, enc = prepare_inputs(engine, model, ds.graphs[i],
+                                          t.lap_pe_dim, train=False)
                 feats = ds.features[i]
                 inv = ctx.node_permutation_inverse()
                 if inv is not None:

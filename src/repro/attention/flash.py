@@ -5,7 +5,8 @@ materializes the S×S score matrix: the key/value sequence is processed in
 tiles with the online softmax recurrence (running max m, running denominator
 l, rescaled accumulator).  The backward pass recomputes per-tile
 probabilities from the saved row statistics, mirroring the real
-FlashAttention algorithm's recomputation strategy.
+FlashAttention algorithm's recomputation strategy.  Each per-tile
+contraction is a batched ``np.matmul`` (one BLAS GEMM per head).
 
 Two behaviours of the real kernel matter for the paper's experiments and
 are reproduced:
@@ -53,13 +54,13 @@ def flash_forward(
 
     for j0 in range(0, S, tile_size):
         j1 = min(j0 + tile_size, S)
-        s_tile = np.einsum("hid,hjd->hij", qd, kd[:, j0:j1]) * scale
+        s_tile = np.matmul(qd, kd[:, j0:j1].swapaxes(-1, -2)) * scale
         tile_max = s_tile.max(axis=-1)
         m_new = np.maximum(m, tile_max)
         correction = np.exp(m - m_new)
         p = np.exp(s_tile - m_new[:, :, None])
         l = l * correction + p.sum(axis=-1)
-        out = out * correction[:, :, None] + np.einsum("hij,hjd->hid", p, vd[:, j0:j1])
+        out = out * correction[:, :, None] + np.matmul(p, vd[:, j0:j1])
         m = m_new
     safe_l = np.maximum(l, 1e-30)
     out = out / safe_l[:, :, None]
@@ -88,16 +89,17 @@ def flash_attention(
         dq = np.zeros_like(qd) if q.requires_grad else None
         for j0 in range(0, S, tile_size):
             j1 = min(j0 + tile_size, S)
-            s_tile = np.einsum("hid,hjd->hij", qd, kd[:, j0:j1]) * scale
+            s_tile = np.matmul(qd, kd[:, j0:j1].swapaxes(-1, -2)) * scale
             p = np.exp(s_tile - m[:, :, None]) / safe_l[:, :, None]
-            dp = np.einsum("hid,hjd->hij", g, vd[:, j0:j1])
+            dp = np.matmul(g, vd[:, j0:j1].swapaxes(-1, -2))
             ds = p * (dp - delta[:, :, None])
             if v.requires_grad:
-                _accumulate_slice(v, j0, j1, np.einsum("hij,hid->hjd", p, g))
+                _accumulate_slice(v, j0, j1, np.matmul(p.swapaxes(-1, -2), g))
             if k.requires_grad:
-                _accumulate_slice(k, j0, j1, np.einsum("hij,hid->hjd", ds, qd) * scale)
+                _accumulate_slice(k, j0, j1,
+                                  np.matmul(ds.swapaxes(-1, -2), qd) * scale)
             if dq is not None:
-                dq += np.einsum("hij,hjd->hid", ds, kd[:, j0:j1]) * scale
+                dq += np.matmul(ds, kd[:, j0:j1]) * scale
         if dq is not None:
             q._accumulate(dq)
 

@@ -23,6 +23,7 @@ transfer strategies bound that trade:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,7 +56,8 @@ class ReformationResult:
     """A reformed cluster-sparse pattern plus fidelity diagnostics."""
 
     pattern: AttentionPattern  # the reformed entry set (for training)
-    layout: BlockLayout  # rectangle view (for the block kernel)
+    rects: list[Rect]  # dense cells and transferred sub-blocks
+    kept: tuple[np.ndarray, np.ndarray]  # (rows, cols) left scattered
     transferred_cells: int
     total_cells: int
     edges_preserved: float  # fraction of original entries still present
@@ -65,6 +67,18 @@ class ReformationResult:
     @property
     def transfer_fraction(self) -> float:
         return self.transferred_cells / max(self.total_cells, 1)
+
+    @cached_property
+    def layout(self) -> BlockLayout:
+        """Rectangle view for the block kernel, built on first read.
+
+        ``rects`` then every kept scattered entry as a 1×1 rect.  Training
+        reads only ``pattern``, and the thousands of 1×1 rects cost more
+        than the rest of a reformation.
+        """
+        r, c = self.kept
+        ones = map(Rect, r.tolist(), (r + 1).tolist(), c.tolist(), (c + 1).tolist())
+        return BlockLayout(seq_len=self.pattern.seq_len, rects=[*self.rects, *ones])
 
 
 def analyze_clusters(pattern: AttentionPattern, bounds: np.ndarray) -> ClusterGridStats:
@@ -106,6 +120,20 @@ def _transfer_cell(rows: np.ndarray, cols: np.ndarray, r0: int, r1: int,
         cc0 = c0 + tc * db
         rects.append(Rect(rr0, min(rr0 + db, r1), cc0, min(cc0 + db, c1)))
     return rects
+
+
+def _rect_entries(rects: list[Rect]) -> tuple[np.ndarray, np.ndarray]:
+    """Every rect's entries, row-major, rect after rect, in one pass."""
+    if not rects:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    r0, r1, c0, c1 = np.array([(r.r0, r.r1, r.c0, r.c1) for r in rects],
+                              dtype=np.int64).T
+    width = c1 - c0
+    area = (r1 - r0) * width
+    owner = np.repeat(np.arange(len(rects)), area)
+    offset = np.arange(int(area.sum())) - np.repeat(np.cumsum(area) - area, area)
+    return (r0[owner] + offset // width[owner],
+            c0[owner] + offset % width[owner])
 
 
 def reform_pattern(
@@ -158,17 +186,11 @@ def reform_pattern(
                 keep_cols.append(cols[in_cell])
 
     # assemble the reformed entry set: rect entries + kept scattered entries
-    parts_r = [np.repeat(np.arange(r.r0, r.r1, dtype=np.int64), r.c1 - r.c0)
-               for r in rects]
-    parts_c = [np.tile(np.arange(r.c0, r.c1, dtype=np.int64), r.r1 - r.r0)
-               for r in rects]
-    parts_r.extend(keep_rows)
-    parts_c.extend(keep_cols)
-    if parts_r:
-        new_rows = np.concatenate(parts_r)
-        new_cols = np.concatenate(parts_c)
-    else:
-        new_rows = new_cols = np.empty(0, dtype=np.int64)
+    kept = (np.concatenate([rows[:0], *keep_rows]),
+            np.concatenate([cols[:0], *keep_cols]))
+    rect_rows, rect_cols = _rect_entries(rects)
+    new_rows = np.concatenate([rect_rows, kept[0]])
+    new_cols = np.concatenate([rect_cols, kept[1]])
     reformed = AttentionPattern.from_entries(pattern.seq_len, new_rows, new_cols)
 
     # fidelity: fraction of original entries present in the reformed set
@@ -177,15 +199,8 @@ def reform_pattern(
     new_lin = reformed.rows * S + reformed.cols
     preserved = float(np.isin(orig_lin, new_lin).mean()) if len(orig_lin) else 1.0
 
-    # the layout keeps kept-scattered entries as 1×1 rects for the kernel
-    layout_rects = list(rects)
-    for kr, kc in zip(keep_rows, keep_cols):
-        layout_rects.extend(Rect(int(r), int(r) + 1, int(c), int(c) + 1)
-                            for r, c in zip(kr, kc))
-    layout = BlockLayout(seq_len=pattern.seq_len, rects=layout_rects)
-
     return ReformationResult(
-        pattern=reformed, layout=layout,
+        pattern=reformed, rects=rects, kept=kept,
         transferred_cells=transferred, total_cells=occupied,
         edges_preserved=preserved,
         entries_before=pattern.num_entries, entries_after=reformed.num_entries,

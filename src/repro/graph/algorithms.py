@@ -110,18 +110,19 @@ def truncated_spd_matrix(g: CSRGraph, max_dist: int) -> np.ndarray:
     return spd
 
 
+def _double_sweeps(g: CSRGraph, rng: np.random.Generator, samples: int):
+    """Yield each double-sweep BFS eccentricity, one per random seed."""
+    for _ in range(samples):
+        s = int(rng.integers(0, g.num_nodes))
+        far = int(np.argmax(bfs_distances(g, s)))
+        yield int(bfs_distances(g, far).max())
+
+
 def diameter_lower_bound(g: CSRGraph, rng: np.random.Generator, samples: int = 4) -> int:
     """Lower-bound the diameter by double-sweep BFS from random seeds."""
     if g.num_nodes == 0:
         return 0
-    best = 0
-    for _ in range(samples):
-        s = int(rng.integers(0, g.num_nodes))
-        d1 = bfs_distances(g, s)
-        far = int(np.argmax(d1))
-        d2 = bfs_distances(g, far)
-        best = max(best, int(d2.max()))
-    return best
+    return max(_double_sweeps(g, rng, samples), default=0)
 
 
 def dirac_hamiltonian_check(g: CSRGraph) -> bool:
@@ -185,17 +186,17 @@ def reachable_within_l_hops(g: CSRGraph, num_layers: int) -> bool:
 
     After L attention layers over a sparse pattern, information propagates
     L hops; the condition holds iff the graph is connected and its diameter
-    is ≤ L.  The double-sweep lower bound rejects early; small graphs are
-    then checked exactly with the all-pairs kernel, large ones accepted on
-    the strength of the sampled bound.
+    is ≤ L.  The double-sweep lower bound rejects early, at the first
+    sweep that exceeds L; small graphs are then checked exactly with the
+    all-pairs kernel, large ones accepted on the strength of the sampled
+    bound.
     """
     if g.num_nodes <= 1:
         return True
     if not is_connected(g):
         return False
     rng = np.random.default_rng(0)
-    lb = diameter_lower_bound(g, rng)
-    if lb > num_layers:
+    if any(ecc > num_layers for ecc in _double_sweeps(g, rng, samples=4)):
         return False
     if g.num_nodes <= 2048:
         # exact: no pair lands in the far bucket beyond num_layers hops

@@ -61,6 +61,10 @@ def GRAPHORMER_LARGE(feature_dim: int, num_classes: int, task: str = "node-class
 class Graphormer(Module):
     """Graphormer with degree centrality encoding and SPD attention bias."""
 
+    #: structure enters through degrees and SPD only, so the trainers skip
+    #: the Laplacian eigensolve for this model
+    reads_lap_pe = False
+
     def __init__(self, config: GraphormerConfig, seed: int = 0):
         super().__init__()
         rng = np.random.default_rng(seed)

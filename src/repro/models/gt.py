@@ -59,12 +59,17 @@ class GT(Module):
         out_dim = 1 if c.task == "regression" else c.num_classes
         self.head = Linear(c.hidden_dim, out_dim, rng=rng)
 
+    @property
+    def reads_lap_pe(self) -> bool:
+        """Whether :meth:`encode` reads ``enc.lap_pe`` (else it is not computed)."""
+        return self.config.lap_pe_dim > 0
+
     def encode(self, features: np.ndarray, enc: GraphEncodings,
                backend: str | KernelSpec = AttentionBackend.DENSE,
                pattern: AttentionPattern | None = None) -> Tensor:
         """Node embeddings under the chosen attention backend."""
         h = self.input_proj(Tensor(features))
-        if enc.lap_pe is not None and self.config.lap_pe_dim > 0:
+        if enc.lap_pe is not None and self.reads_lap_pe:
             pe = enc.lap_pe[:, : self.config.lap_pe_dim]
             if pe.shape[1] < self.config.lap_pe_dim:  # pad tiny graphs
                 pad = np.zeros((pe.shape[0], self.config.lap_pe_dim - pe.shape[1]))

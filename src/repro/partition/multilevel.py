@@ -160,17 +160,14 @@ def _fm_refine(g: _WGraph, side: np.ndarray, max_passes: int = 4,
     side = side.astype(np.int8).copy()
     total = g.vwgt.sum()
     limit = total / 2 * imbalance
-
-    def ext_int(v: int) -> float:
-        s, e = g.indptr[v], g.indptr[v + 1]
-        nbr_sides = side[g.indices[s:e]]
-        w = g.ewgt[s:e]
-        ext = float(w[nbr_sides != side[v]].sum())
-        internal = float(w[nbr_sides == side[v]].sum())
-        return ext - internal
+    # the move loop visits one boundary node at a time, where plain lists
+    # beat numpy slicing; weights are whole numbers, so every gain and
+    # part weight sums exactly in any order
+    indptr, indices = g.indptr.tolist(), g.indices.tolist()
+    ewgt, vwgt = g.ewgt.tolist(), g.vwgt.tolist()
 
     for _ in range(max_passes):
-        part_w = np.array([g.vwgt[side == 0].sum(), g.vwgt[side == 1].sum()])
+        part_w = [float(g.vwgt[side == 0].sum()), float(g.vwgt[side == 1].sum())]
         # boundary nodes: any neighbor on the other side
         src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
         crossing = side[src] != side[g.indices]
@@ -178,31 +175,32 @@ def _fm_refine(g: _WGraph, side: np.ndarray, max_passes: int = 4,
         if len(boundary) == 0:
             break
         # every node's gain in one pass: crossing weight minus internal
-        # (edge weights are whole numbers, so the sums are exact in any order)
         gains = np.bincount(src, np.where(crossing, g.ewgt, -g.ewgt), g.n)
         order = boundary[np.argsort(-gains[boundary])]
 
+        sides = side.tolist()
         moved: list[int] = []
         cum_gain = 0.0
         best_gain, best_len = 0.0, 0
-        for v in order:  # boundary nodes are distinct: each moves at most once
-            v = int(v)
-            frm = side[v]
+        for v in order.tolist():  # boundary nodes are distinct: each moves at most once
+            frm = sides[v]
             to = 1 - frm
-            if part_w[to] + g.vwgt[v] > limit:
+            if part_w[to] + vwgt[v] > limit:
                 continue
-            gain = ext_int(v)
-            side[v] = to
-            part_w[frm] -= g.vwgt[v]
-            part_w[to] += g.vwgt[v]
+            gain = 0.0  # crossing minus internal weight, at the current sides
+            for j in range(indptr[v], indptr[v + 1]):
+                gain += ewgt[j] if sides[indices[j]] != frm else -ewgt[j]
+            sides[v] = to
+            part_w[frm] -= vwgt[v]
+            part_w[to] += vwgt[v]
             moved.append(v)
             cum_gain += gain
             if cum_gain > best_gain:
                 best_gain, best_len = cum_gain, len(moved)
         # roll back past the best prefix
         for v in moved[best_len:]:
-            frm = side[v]
-            side[v] = 1 - frm
+            sides[v] = 1 - sides[v]
+        side[:] = sides
         if best_len == 0:
             break
     return side

@@ -135,7 +135,8 @@ def gelu_forward(x: np.ndarray, ws: dict | None = None) -> tuple[np.ndarray, np.
     u = _buf(ws, "gelu_u", x.shape, x.dtype)
     t = _buf(ws, "gelu_t", x.shape, x.dtype)
     out = _buf(ws, "gelu_out", x.shape, x.dtype)
-    np.power(x, 3, out=u)
+    np.multiply(x, x, out=u)  # x³ as two multiplies: np.power is ~40× slower
+    np.multiply(u, x, out=u)
     np.multiply(u, 0.044715, out=u)
     np.add(x, u, out=u)
     np.multiply(u, _SQRT_2_OVER_PI, out=u)
@@ -225,15 +226,22 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True
 
 
 def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
-    """Gather rows of ``table`` at integer ``indices`` (scatter-add bwd)."""
+    """Gather rows of ``table`` at integer ``indices`` (scatter-add bwd).
+
+    The scatter-add is one ``np.bincount`` per table column: it sums in
+    index order like ``np.add.at`` (in float64), several times faster on
+    the (S·S, H) gradient of the dense SPD bias.
+    """
     t = table
     idx = np.asarray(indices)
 
     def backward(g):
         if t.requires_grad:
-            buf = np.zeros_like(t.data)
-            np.add.at(buf, idx.reshape(-1), g.reshape(-1, t.data.shape[-1]))
-            t._accumulate(buf)
+            rows, width = t.data.shape[0], t.data.shape[-1]
+            flat = idx.reshape(-1)
+            cols = np.moveaxis(g, -1, 0).reshape(width, -1)
+            t._accumulate(np.stack([np.bincount(flat, weights=c, minlength=rows)
+                                    for c in cols], axis=1))
 
     return Tensor._make(t.data[idx], (t,), backward, op="embedding", indices=idx)
 

@@ -55,7 +55,8 @@ def batched_node_predictions(model, dataset: NodeDataset, engine: Engine,
     with no_grad():
         for nodes in _batches(dataset.num_nodes, seq_len, rng, min_batch=1):
             sub, _ = dataset.graph.subgraph(nodes)
-            ctx, enc = prepare_inputs(engine, sub, lap_pe_dim, train=False)
+            ctx, enc = prepare_inputs(engine, model, sub, lap_pe_dim,
+                                      train=False)
             feats = dataset.features[nodes]
             inv = ctx.node_permutation_inverse()
             batch_to_orig = nodes[inv] if inv is not None else nodes
@@ -127,7 +128,8 @@ def train_node_classification_batched(
                 if (labels != -1).sum() == 0:
                     continue
                 sub, _ = dataset.graph.subgraph(nodes)
-                ctx, enc = prepare_inputs(engine, sub, lap_pe_dim, train=True)
+                ctx, enc = prepare_inputs(engine, model, sub, lap_pe_dim,
+                                          train=True)
                 record.preprocess_seconds += ctx.preprocess_seconds
                 feats = dataset.features[nodes]
                 inv = ctx.node_permutation_inverse()

@@ -98,14 +98,18 @@ def planned_forward(model, engine: Engine, ctx: SequenceContext,
                  use_bias=plan.use_bias)
 
 
-def prepare_inputs(engine: Engine, g: CSRGraph, lap_pe_dim: int,
+def prepare_inputs(engine: Engine, model, g: CSRGraph, lap_pe_dim: int,
                    train: bool) -> tuple[SequenceContext, GraphEncodings]:
     """Engine preprocessing plus structural encodings — the one prepare site.
 
     ``train`` picks ``prepare_graph`` (may advance tuner state) or the memoised
     ``prepare_inference``; ``ctx.preprocess_seconds`` gains the encoding time.
+    The Laplacian eigensolve runs only for a ``model`` that reads
+    ``enc.lap_pe``: one whose ``reads_lap_pe`` is true or absent.
     """
     ctx = engine.prepare_graph(g) if train else engine.prepare_inference(g)
+    if not getattr(model, "reads_lap_pe", True):
+        lap_pe_dim = 0
     t0 = time.perf_counter()
     enc = compute_encodings(ctx.graph, lap_pe_dim=lap_pe_dim)
     ctx.preprocess_seconds += time.perf_counter() - t0
@@ -147,7 +151,8 @@ def train_node_classification(
     """
     seed_stochastic_modules(model, seed)
     with precision_scope(engine.precision):
-        ctx, enc = prepare_inputs(engine, dataset.graph, lap_pe_dim, train=True)
+        ctx, enc = prepare_inputs(engine, model, dataset.graph, lap_pe_dim,
+                                  train=True)
         feats, labels = dataset.features, dataset.labels
         train_m, val_m, test_m = dataset.train_mask, dataset.val_mask, dataset.test_mask
         inv = ctx.node_permutation_inverse()
@@ -238,7 +243,7 @@ def train_graph_task(
         encodings: list[GraphEncodings] = []
         preproc = 0.0
         for g in dataset.graphs:
-            ctx, enc = prepare_inputs(engine, g, lap_pe_dim, train=True)
+            ctx, enc = prepare_inputs(engine, model, g, lap_pe_dim, train=True)
             preproc += ctx.preprocess_seconds
             contexts.append(ctx)
             encodings.append(enc)

@@ -8,9 +8,10 @@ import pytest
 
 from benchmarks.e2e.inputs import SMOKE, bridged_dataset, run_config
 from repro.api import Session
+from repro.models import build_model
 from repro.models.encodings import compute_encodings
 from repro.tensor import no_grad, precision_scope
-from repro.train import planned_forward
+from repro.train import planned_forward, prepare_inputs
 from tests.helpers import array_sha256 as _sha
 
 
@@ -22,20 +23,24 @@ def _blas_fingerprint():
 
 
 # sha256 of (untrained full-graph logits, 3-epoch train-loss list, logits
-# after that fit) on the bridged 300-node benchmark graph, taken on commit
-# 6efde15.  Float32 matmuls round per BLAS kernel, so the digests hold on
-# machines whose BLAS matches the one they were taken on.
+# after that fit) on the bridged 300-node benchmark graph.  Re-recorded on
+# the child of commit 23edc32, which moved the attention contractions onto
+# BLAS GEMMs, GELU's cube onto two multiplies and the embedding backward
+# onto np.bincount: arithmetic changed on purpose, so the rounding did
+# (gp-flash's bf16 rounding hides it until its post-fit logits).  Float32
+# matmuls round per BLAS kernel, so the digests hold on machines whose
+# BLAS matches the one they were taken on.
 PARENT_BLAS = "b607a2717714b5662b1389dae1f9a0a7932e91ac28158af6013a4efbe8633855"
 PARENT = {
-    "torchgt": ("67e62bdb18617de4ef07ce334e20dfdc681a29054f403f8ebd7ffa9d920d8164",
-                "7c40ca4a11f58ef51b9a905b9c14445899648d4ae92d0eb3eb6df418badcc9ff",
-                "51999c2368842b0023d3fe2281357191a0c43f0fe8a6c392f3b924e17aaaf1d4"),
+    "torchgt": ("c2ac216fcaaf0a96bdff3893da505a7856c36a81c3dced4d83277aeeffa052b8",
+                "1db4ad01840f0ba83c11d551c85e0961b0036385402ef40be5befa92ecb1f0b0",
+                "3f4392f77a4dd091ee581813badabf499853591ec0a1c9f42611ca615d4fa615"),
     "gp-flash": ("53722132e54c88c36eaf11ef5d06dd49bb61aefac79f6ee97ed5f14c6faa2393",
                  "a15bb72536c9f1e5d3e7c07f32147179ff2b16805707647b630a475dc7c90f47",
-                 "d6b574c1ca899dc46ad458c561f5925c6946d73c14010ef405718add07967350"),
-    "gp-raw": ("0069d1c51f9e78dd7e3de7d9337e0dd48de2494365410ee9a1fa8772179e7971",
+                 "638ae37e4e05221c6de2ef08a5024bba1ff118d3a183a3ebba432e2b187d20e6"),
+    "gp-raw": ("ed3dd33936bfb9d0ea78962f9ea40a912b84e1b5f934ee6181e934be66eb492e",
                "73013b4e04724b74591a0e924dce55a83144cd55ecfb5998d1768ca895ee1f90",
-               "182ba0bf173ebae07f659d7c3c14e69b765cdda916bdddec93ad7e9d69ef049d"),
+               "77305b715685815e6daf4bbdcdd316b01fb61fd9ebe603840bf980ee5a737a61"),
 }
 ENGINES = list(PARENT)
 
@@ -84,3 +89,19 @@ def test_predict_path_counts_encoding_time():
     ctx = s._infer_cache[2]
     assert ctx.preprocess_seconds > 0
     assert s.fit().preprocess_seconds > 0
+
+
+@pytest.mark.parametrize("model, overrides, reads", [
+    ("graphormer", {}, False),
+    ("gt", {}, True),
+    ("gt", {"lap_pe_dim": 0}, False),
+])
+def test_only_a_model_that_reads_the_laplacian_pays_for_it(model, overrides,
+                                                           reads):
+    s = _session("gp-raw")
+    ds = s.dataset
+    m = build_model(model, ds.features.shape[1], ds.num_classes, **overrides)
+    assert m.reads_lap_pe is reads
+    _, enc = prepare_inputs(s.engine, m, ds.graph, s.config.train.lap_pe_dim,
+                            train=False)
+    assert (enc.lap_pe is not None) is reads

@@ -224,6 +224,27 @@ class TestReachability:
         assert reachable_within_l_hops(g, 4)
         assert not reachable_within_l_hops(g, 3)
 
+    def test_rejects_at_the_first_sweep_past_l(self, monkeypatch):
+        from repro.graph import algorithms
+        calls = []
+
+        def counting_bfs(g, source, max_depth=None):
+            calls.append(source)
+            return bfs_distances(g, source, max_depth)
+
+        monkeypatch.setattr(algorithms, "bfs_distances", counting_bfs)
+        assert not reachable_within_l_hops(path_graph(40), 3)
+        assert len(calls) == 2  # one double sweep, not four
+
+    @pytest.mark.parametrize("g", [path_graph(30), grid_graph(5, 7),
+                                   ring_of_cliques(6, 4)[0], star_graph(9),
+                                   complete_graph(8)])
+    def test_same_answer_as_the_full_lower_bound(self, g):
+        lb = diameter_lower_bound(g, np.random.default_rng(0))
+        for L in range(1, lb + 2):
+            exact = truncated_spd_matrix(g, L).max() <= L
+            assert reachable_within_l_hops(g, L) == (lb <= L and exact)
+
 
 class TestStatistics:
     def test_degree_histogram_total(self, rng):

@@ -43,3 +43,34 @@ def spd_oracle(g, max_dist):
         near = (d >= 0) & (d <= max_dist)
         want[s, near] = d[near]
     return want
+
+
+def dense_attention_einsum(q, k, v, g, bias=None, mask=None):
+    """Dense attention forward and backward written with ``np.einsum``.
+
+    The formulation the BLAS kernels in ``repro.attention`` replaced, kept
+    as the reference they are held to.  Returns ``(out, dq, dk, dv,
+    dbias)`` for the output gradient ``g``; ``dbias`` is None without a
+    bias and is reduced over heads for a ``(1, S, S)`` bias.
+    """
+    scale = 1.0 / float(np.sqrt(q.shape[-1]))
+    s = np.einsum("hid,hjd->hij", q, k) * scale
+    if bias is not None:
+        s = s + bias
+    if mask is not None:
+        s = np.where(mask[None], s, -1e30)
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    if mask is not None:
+        e = e * mask[None]
+    p = e / np.maximum(e.sum(axis=-1, keepdims=True), 1e-30)
+    out = np.einsum("hij,hjd->hid", p, v)
+    dp = np.einsum("hid,hjd->hij", g, v)
+    ds = p * (dp - np.einsum("hij,hij->hi", dp, p)[:, :, None])
+    dbias = None
+    if bias is not None:
+        dbias = ds if bias.shape[0] == q.shape[0] else ds.sum(axis=0, keepdims=True)
+    return (out,
+            np.einsum("hij,hjd->hid", ds, k) * scale,
+            np.einsum("hij,hid->hjd", ds, q) * scale,
+            np.einsum("hij,hid->hjd", p, g),
+            dbias)
