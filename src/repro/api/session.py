@@ -71,23 +71,15 @@ class Session:
         self._engine = None
         self._fitting = False
         self._wal = None
-        # memoized (dataset, graph_version, context, encodings) for
-        # repeated full-graph inference; keyed by dataset identity AND
-        # its graph_version — a session whose dataset object is swapped
-        # (shared-dataset sweeps, pool admission) or mutated in place by
-        # a GraphDelta (possibly through *another* session sharing the
-        # dataset) must never serve a context built for different
-        # topology — and dropped whenever fit() may have moved engine
-        # runtime state or a checkpoint load moved the weights
-        self._infer_cache = None
-        # compiled-backend cache: LRU of prepared serving entries keyed by
-        # (scope, dataset identity, graph_version[, node-set bytes]) →
-        # (ctx, enc, CompiledProgram | None).  A None program records that
-        # compilation was attempted and fell back, so the reference path
-        # is not re-traced on every call.  Weights are folded into the
-        # programs as constants, so every weight-moving event (fit, a
-        # checkpoint load) must clear this alongside _infer_cache.
-        self._compiled: OrderedDict = OrderedDict()
+        # the one derivation cache: an LRU keyed by everything an entry
+        # is a function of — (dataset fingerprint, graph_version,
+        # node-set bytes or None for the full graph, engine state
+        # fingerprint) → (ctx, enc, program, weight version the program
+        # was traced at).  A mutation moves a key component and clears
+        # nothing; stale entries age out.  A traced-at of None means no
+        # compile was attempted; a None program after an attempt records
+        # a fallback, so the reference path is not re-traced every call.
+        self._cache: OrderedDict = OrderedDict()
 
     _COMPILED_CAP = 8  # distinct serving plans kept warm per session
 
@@ -96,28 +88,16 @@ class Session:
         """The resolved :class:`~repro.backend.BackendSpec` for this run."""
         return resolve_backend(self.config.engine.backend)
 
-    def _compiled_get(self, key):
-        entry = self._compiled.get(key)
-        if entry is not None:
-            self._compiled.move_to_end(key)
-        return entry
-
     def compiled_stats(self) -> dict:
         """Counters for the compiled-backend cache (observability).
 
-        ``entries`` counts cached serving plans (including reference
-        fallbacks), ``programs`` counts the ones holding a live compiled
-        program.
+        ``entries`` counts cached serving plans a compile was attempted
+        for (including reference fallbacks), ``programs`` counts the
+        ones holding a compiled program.
         """
-        progs = [e[2] for e in self._compiled.values()]
-        return {"entries": len(progs),
-                "programs": sum(p is not None for p in progs)}
-
-    def _compiled_put(self, key, entry):
-        self._compiled[key] = entry
-        self._compiled.move_to_end(key)
-        while len(self._compiled) > self._COMPILED_CAP:
-            self._compiled.popitem(last=False)
+        traced = [e[2] for e in self._cache.values() if e[3] is not None]
+        return {"entries": len(traced),
+                "programs": sum(p is not None for p in traced)}
 
     @classmethod
     def from_config_file(cls, path: str) -> "Session":
@@ -204,13 +184,8 @@ class Session:
         """
         c, t = self.config, self.config.train
         ds, model, engine = self.dataset, self.model, self.engine
-        # engine runtime state (β_thre, …) moves during training, so any
-        # cached inference context — including one built by a callback
-        # calling predict() mid-fit — is stale on both sides of the run;
-        # _fitting additionally disables caching *between* epochs, where
-        # an Auto-Tuner re-reform can invalidate a context at any time
-        self._infer_cache = None
-        self._compiled.clear()  # folded weights are about to move
+        # refuses apply_delta and keeps mid-fit predicts off the fused
+        # backend; tuner and weight moves reach the cache through its key
         self._fitting = True
         try:
             persist = dict(checkpoint_path=checkpoint_path,
@@ -235,8 +210,6 @@ class Session:
                     seed=c.seed, patience=t.patience, callbacks=callbacks,
                     **persist)
         finally:
-            self._infer_cache = None
-            self._compiled.clear()
             self._fitting = False
         return self.record
 
@@ -272,12 +245,14 @@ class Session:
         return ("dataset", id(self.dataset))
 
     def _stamp_context(self, ctx) -> None:
-        """Stamp a prepared context's patterns for targeted invalidation.
+        """Stamp a prepared context's patterns for targeted release.
 
         Records the dataset tag plus the original node ids each pattern
         row covers (the cluster-reordering inverse, or the identity for
-        unreordered layouts), so a later delta drops exactly the
-        workspaces it staled and leaves other datasets' warm.
+        unreordered layouts), so a later delta frees exactly the
+        workspaces it staled and leaves other datasets' warm.  This is
+        memory management only: a stale context is never served, since
+        the delta's ``graph_version`` bump moves the cache key.
         """
         from ..attention.workspace import stamp_workspace_scope
 
@@ -304,26 +279,24 @@ class Session:
         self._wal = log
         applied = log.replay(self.dataset)
         if applied:
-            # replay bypassed this session's per-delta invalidation, so
-            # drop everything scoped to this dataset conservatively
+            # replay bypassed this session's per-delta workspace release,
+            # so release everything scoped to this dataset
             invalidate_touching(
                 np.arange(self.dataset.num_nodes, dtype=np.int64),
                 tag=self._stream_tag())
-            self._infer_cache = None
-            self._compiled.clear()
         return applied
 
     def apply_delta(self, delta, log=None, version: int | None = None):
         """Apply a :class:`~repro.stream.GraphDelta` to the live dataset.
 
         The topology change goes through the incremental CSR rebuild
-        (only touched rows recomputed), the dataset's ``graph_version``
-        is bumped, this session's inference cache is dropped, and
-        cached pattern workspaces are invalidated **targeted**: only
-        workspaces over this dataset whose rows intersect the delta's
-        touched set are dropped — other datasets' (and disjoint
-        subgraphs') workspaces stay warm.  Prepared contexts and
-        encodings are rebuilt lazily on the next :meth:`predict`.
+        (only touched rows recomputed) and the dataset's
+        ``graph_version`` is bumped, so every cached prepared context,
+        encoding and program misses from then on and is rebuilt lazily
+        on the next :meth:`predict`.  Cached pattern workspaces are
+        released **targeted**: only workspaces over this dataset whose
+        rows intersect the delta's touched set are dropped — other
+        datasets' (and disjoint subgraphs') workspaces stay warm.
 
         With a WAL — ``log``, or else the one :meth:`attach_wal`
         attached — the delta is committed through
@@ -356,26 +329,20 @@ class Session:
         if version is not None and self.graph_version < version:
             self.dataset.graph_version = version
         invalidate_touching(report.touched_rows, tag=self._stream_tag())
-        self._infer_cache = None
-        self._compiled.clear()  # folded encodings reflect the old topology
         return report
 
     # -- weights ---------------------------------------------------------- #
     def load_weights(self, path: str) -> None:
-        """Load checkpoint weights into the live model, dropping caches.
+        """Load checkpoint weights into the live model.
 
-        The audited mutation point for serving-time weight swaps (pool
-        admission, hot reload): every inference-side cache that could
-        embed model state is invalidated here, so a live session never
-        serves logits computed from the pre-load weights.  (The cached
-        ``(ctx, enc)`` pair is weight-independent today — invalidating
-        it keeps that an implementation detail rather than a trap.)
+        The serving-time weight swap (pool admission, hot reload).  The
+        load moves the model's ``weight_version``, so a compiled program
+        traced at the old weights is re-traced on its next replay; the
+        prepared contexts and encodings are weight-independent and stay.
         """
         from ..train.checkpointing import load_checkpoint
 
         load_checkpoint(path, self.model)
-        self._infer_cache = None
-        self._compiled.clear()  # compiled programs fold the old weights
 
     # -- inference ------------------------------------------------------- #
     def predict(self, nodes: np.ndarray | None = None,
@@ -417,77 +384,59 @@ class Session:
             spec = self.backend_spec
             fused = (spec.compiled and not self._fitting
                      and spec.supports_precision(engine.precision))
-            version = getattr(ds, "graph_version", 0)
-            # cache keys carry the dataset's content fingerprint (stable
-            # across handles onto the same store bytes) rather than the
-            # handle's id(), so store-backed sessions share compiled
-            # programs and prepared contexts across reopens
-            ds_key = dataset_fingerprint(ds)
-            entry = None
-            if nodes is None:
-                # repeated full-graph inference reuses one prepared context:
-                # cluster reordering + pattern + ECR reformation dominate
-                # small-model inference cost and are identical across calls
-                # while the engine is idle (mid-fit, a re-reform can land
-                # between calls, so caching is suspended) and the topology
-                # is unchanged (an applied GraphDelta bumps graph_version,
-                # which misses here even when another session holding the
-                # same dataset object applied it)
-                key = ("full", ds_key, version)
-                if (self._infer_cache is not None
-                        and self._infer_cache[0] == ds_key
-                        and self._infer_cache[1] == version):
-                    _, _, ctx, enc = self._infer_cache
-                else:
-                    ctx, enc = prepare_inputs(engine, model, ds.graph,
-                                              t.lap_pe_dim, train=False)
-                    self._stamp_context(ctx)
-                    if not self._fitting:
-                        self._infer_cache = (ds_key, version, ctx, enc)
-                feats = ds.features
-            else:
+            if nodes is not None:
                 nodes = np.asarray(nodes)
+                if nodes.size and (nodes.dtype.kind not in "iu"
+                                   or nodes.min() < 0
+                                   or nodes.max() >= ds.num_nodes):
+                    raise ValueError(f"nodes= must be integer node ids in "
+                                     f"[0, {ds.num_nodes}), got {nodes!r}")
                 sorted_nodes = np.sort(nodes)
-                key = ("nodes", ds_key, version, sorted_nodes.tobytes())
-                entry = self._compiled_get(key) if fused else None
-                if entry is not None:
-                    # the compiled cache carries the prepared subgraph
-                    # context and encodings too — subgraph extraction and
-                    # encoding recomputation dominate repeated subset
-                    # serving, and the entry's program was traced against
-                    # exactly this context
-                    ctx, enc = entry[0], entry[1]
-                else:
-                    graph, _ = ds.graph.subgraph(sorted_nodes)
-                    ctx, enc = prepare_inputs(engine, model, graph,
-                                              t.lap_pe_dim, train=False)
-                feats = ds.features[sorted_nodes]
+            # keyed on the dataset's content fingerprint (stable across
+            # handles onto the same store bytes) rather than the handle's
+            # id(), so store-backed sessions share entries across reopens
+            key = (dataset_fingerprint(ds), getattr(ds, "graph_version", 0),
+                   None if nodes is None else sorted_nodes.tobytes(),
+                   engine.state_fingerprint())
+            entry = self._cache.get(key)
+            if entry is None:
+                # cluster reordering + pattern + ECR reformation and the
+                # encodings dominate small-model inference cost; subset
+                # serving adds subgraph extraction
+                graph = (ds.graph if nodes is None
+                         else ds.graph.subgraph(sorted_nodes)[0])
+                ctx, enc = prepare_inputs(engine, model, graph,
+                                          t.lap_pe_dim, train=False)
+                if nodes is None:
+                    self._stamp_context(ctx)
+                entry = (ctx, enc, None, None)
+            ctx, enc, prog, traced_at = entry
+            feats = ds.features if nodes is None else ds.features[sorted_nodes]
             inv = ctx.node_permutation_inverse()
             model.eval()
             # np.asarray materializes store-backed feature views; in-RAM
             # arrays pass through untouched
             feats_in = feats[inv] if inv is not None else np.asarray(feats)
-            prog = None
-            if fused:
-                if entry is None and nodes is None:
-                    entry = self._compiled_get(key)
-                    if entry is not None and entry[0] is not ctx:
-                        entry = None  # context was rebuilt; program is stale
-                if entry is not None:
-                    prog = entry[2]
-                else:
-                    def ref_forward(f):
-                        with no_grad():
-                            return planned_forward(model, engine, ctx, f, enc,
-                                                   train=False)
-                    prog = compile_plan(ref_forward, feats_in,
-                                        engine.precision)
-                    outcome = "compiled" if prog is not None else "fallback"
-                    get_registry().counter(
-                        "repro_backend_compile_total",
-                        "compile attempts by outcome (compiled / fallback)",
-                        labels=("outcome",)).inc(outcome=outcome)
-                    self._compiled_put(key, (ctx, enc, prog))
+            if not fused:
+                prog = None
+            elif traced_at != model.weight_version:
+                # programs fold the weights as constants: replay only at
+                # the weight version they were traced at, else re-trace
+                def ref_forward(f):
+                    with no_grad():
+                        return planned_forward(model, engine, ctx, f, enc,
+                                               train=False)
+                prog = compile_plan(ref_forward, feats_in, engine.precision)
+                outcome = "compiled" if prog is not None else "fallback"
+                get_registry().counter(
+                    "repro_backend_compile_total",
+                    "compile attempts by outcome (compiled / fallback)",
+                    labels=("outcome",)).inc(outcome=outcome)
+                entry = (ctx, enc, prog, model.weight_version)
+            self._cache[key] = entry
+            self._cache.move_to_end(key)
+            if len(self._cache) > self._COMPILED_CAP:
+                self._cache.popitem(last=False)
             if prog is not None and prog.input_shape == feats_in.shape:
                 tracer = get_tracer()
                 if tracer.enabled and tracer.current() is not None:

@@ -115,9 +115,6 @@ class Engine:
 
     def __init__(self, num_layers: int = 4):
         self.num_layers = num_layers
-        # single-slot prepare_inference memo: (fingerprint, ctx, graph).
-        # Holds a strong reference to the graph so id() cannot be recycled.
-        self._prep_memo = None
 
     @classmethod
     def build(cls, num_layers: int = 4, hidden_dim: int = 64,
@@ -139,31 +136,18 @@ class Engine:
     def prepare_inference(self, g: CSRGraph) -> SequenceContext:
         """Like :meth:`prepare_graph`, but must not advance runtime state.
 
-        Idempotent: repeated calls with the same graph object (and
-        unchanged runtime state — see :meth:`_state_fingerprint`) return
-        the *same* prepared context without re-running preprocessing, so
-        serving loops can call it per request at no cost.  Engines whose
-        preprocessing records runtime tuner state override
-        :meth:`_prepare_inference_uncached` to leave that state untouched.
+        Engines whose preprocessing records runtime tuner state override
+        this to leave that state untouched.  Nothing is memoised here:
+        callers that serve repeatedly key their own caches on the graph
+        and :meth:`state_fingerprint`.
         """
-        fp = (id(g), g.num_nodes, g.num_edges, self._state_fingerprint())
-        memo = getattr(self, "_prep_memo", None)
-        if memo is not None and memo[0] == fp and memo[2] is g:
-            return memo[1]
-        ctx = self._prepare_inference_uncached(g)
-        self._prep_memo = (fp, ctx, g)
-        return ctx
-
-    def _prepare_inference_uncached(self, g: CSRGraph) -> SequenceContext:
-        """The actual inference preprocessing behind the memo."""
         return self.prepare_graph(g)
 
-    def _state_fingerprint(self):
+    def state_fingerprint(self):
         """Hashable snapshot of runtime state that affects preprocessing.
 
         The base engine has none; TorchGT folds in the Auto-Tuner's
-        β_thre so a mid-training tuner move invalidates the memo (the
-        reformation it produces would differ).
+        β_thre, since the reformation it produces depends on it.
         """
         return None
 
@@ -391,7 +375,7 @@ class TorchGTEngine(Engine):
             preprocess_seconds=time.perf_counter() - t0,
             sparse_ok=sparse_ok)
 
-    def _prepare_inference_uncached(self, g: CSRGraph) -> SequenceContext:
+    def prepare_inference(self, g: CSRGraph) -> SequenceContext:
         """Preprocess for inference without moving any runtime state.
 
         ``prepare_graph`` records the β_thre it reformed with in
@@ -409,10 +393,10 @@ class TorchGTEngine(Engine):
         finally:
             self._beta_in_use, self.scheduler, self.autotuner = prev
 
-    def _state_fingerprint(self):
+    def state_fingerprint(self):
         """β_thre inputs that change what reformation an inference
         preprocessing pass would produce — an Auto-Tuner move between
-        calls must miss the prepare_inference memo."""
+        calls must miss any cache keyed on it."""
         return (self.fixed_beta_thre,
                 self.autotuner.beta_thre if self.autotuner is not None else None)
 

@@ -40,7 +40,7 @@ def dataset_fingerprint(dataset) -> tuple:
     e.g. :class:`repro.store.StoredNodeDataset`) are identified by that
     content hash, so two handles onto the same store bytes — or the
     same store reopened across processes — coalesce in
-    :class:`~repro.api.Session`'s inference caches.  Plain in-RAM
+    :class:`~repro.api.Session`'s derivation cache.  Plain in-RAM
     datasets fall back to object identity, preserving the previous
     behaviour exactly (mutating an in-RAM dataset in place also bumps
     its ``graph_version``, which the cache keys carry separately).

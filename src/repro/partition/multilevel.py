@@ -68,45 +68,39 @@ class _WGraph:
 
 
 def _heavy_edge_matching(g: _WGraph, rng: np.random.Generator) -> np.ndarray:
-    """Greedy heavy-edge matching; returns match[v] (== v if unmatched)."""
-    match = -np.ones(g.n, dtype=np.int64)
-    order = rng.permutation(g.n)
-    for v in order:
+    """Greedy heavy-edge matching; returns match[v] (== v if unmatched).
+
+    Visits nodes in a random order and pairs each free node with its
+    heaviest free neighbour (the first one on ties).  The visit is
+    inherently sequential, so it runs on plain lists, which beat numpy
+    indexing one node at a time.
+    """
+    indptr, indices, ewgt = g.indptr.tolist(), g.indices.tolist(), g.ewgt.tolist()
+    match = [-1] * g.n
+    for v in rng.permutation(g.n).tolist():
         if match[v] != -1:
             continue
-        start, end = g.indptr[v], g.indptr[v + 1]
-        nbrs = g.indices[start:end]
-        wts = g.ewgt[start:end]
-        free = match[nbrs] == -1
-        free &= nbrs != v
-        if not free.any():
-            match[v] = v
-            continue
-        cand = nbrs[free]
-        u = int(cand[np.argmax(wts[free])])
+        u, best = v, None
+        for j in range(indptr[v], indptr[v + 1]):
+            w = indices[j]
+            if w != v and match[w] == -1 and (best is None or ewgt[j] > best):
+                u, best = w, ewgt[j]
         match[v] = u
         match[u] = v
-    return match
+    return np.array(match, dtype=np.int64)
 
 
 def _contract(g: _WGraph, match: np.ndarray) -> tuple[_WGraph, np.ndarray]:
     """Collapse matched pairs into coarse nodes; returns (coarse, mapping)."""
-    cmap = -np.ones(g.n, dtype=np.int64)
-    nxt = 0
-    for v in range(g.n):
-        if cmap[v] != -1:
-            continue
-        u = match[v]
-        cmap[v] = nxt
-        if u != v:
-            cmap[u] = nxt
-        nxt += 1
-    # coarse vertex weights
-    cvwgt = np.zeros(nxt)
-    np.add.at(cvwgt, cmap, g.vwgt)
+    # coarse ids follow each pair's smaller endpoint in node order
+    ids = np.arange(g.n, dtype=np.int64)
+    first = match >= ids
+    cmap = (np.cumsum(first) - 1)[np.minimum(ids, match)]
+    nxt = int(first.sum())
+    # coarse vertex weights (whole numbers: exact in any summation order)
+    cvwgt = np.bincount(cmap, g.vwgt, nxt)
     # coarse edges via sparse contraction: A_c = P^T A P with P one-hot
-    src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
-    cs, cd = cmap[src], cmap[g.indices]
+    cs, cd = np.repeat(cmap, np.diff(g.indptr)), cmap[g.indices]
     keep = cs != cd
     mat = sp.csr_matrix((g.ewgt[keep], (cs[keep], cd[keep])), shape=(nxt, nxt))
     mat.sum_duplicates()

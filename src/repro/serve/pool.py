@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Callable, Mapping
+from typing import Mapping
 
 from ..obs.stats import StatBlock
 
@@ -78,13 +78,11 @@ class SessionPool:
 
     ``checkpoints`` maps a config key (or a config object, hashed on the
     spot) to a checkpoint path loaded into the model when that config is
-    first admitted.  ``session_factory`` is an injection seam for tests;
-    it defaults to :class:`repro.api.Session`.
+    first admitted.
     """
 
     def __init__(self, max_sessions: int = 4,
-                 checkpoints: Mapping | None = None,
-                 session_factory: Callable | None = None):
+                 checkpoints: Mapping | None = None):
         if max_sessions < 1:
             raise ValueError(f"max_sessions must be >= 1, got {max_sessions}")
         self.max_sessions = max_sessions
@@ -93,9 +91,6 @@ class SessionPool:
         self._datasets: dict[tuple, object] = {}
         self._pinned: set[tuple] = set()
         self._checkpoints: dict[str, str] = {}
-        if session_factory is None:
-            from ..api import Session as session_factory
-        self._session_factory = session_factory
         for cfg, path in (checkpoints or {}).items():
             self.add_checkpoint(cfg, path)
 
@@ -152,35 +147,18 @@ class SessionPool:
         return session
 
     def _admit(self, config, key: str):
+        from ..api import Session
+
         ds_id = self._dataset_identity(config)
-        session = self._session_factory(config,
-                                        dataset=self._datasets.get(ds_id))
+        session = Session(config, dataset=self._datasets.get(ds_id))
         path = self._checkpoints.get(key)
         if path is not None:
-            # weights only, via the session's audited mutation point so
-            # any inference cache built before the load is dropped
-            self._load_weights(session, path)
+            session.load_weights(path)  # weights only
             self.stats.bump("checkpoint_loads")
         self._datasets.setdefault(ds_id, session.dataset)
         self._sessions[key] = session
         self._evict_over_capacity()
         return session
-
-    @staticmethod
-    def _load_weights(session, path: str) -> None:
-        """Load checkpoint weights through the session's invalidation hook.
-
-        Falls back to a raw :func:`~repro.train.checkpointing.load_checkpoint`
-        for injected session doubles that don't expose ``load_weights``
-        (the test seam), so admission semantics stay identical.
-        """
-        loader = getattr(session, "load_weights", None)
-        if loader is not None:
-            loader(path)
-            return
-        from ..train.checkpointing import load_checkpoint
-
-        load_checkpoint(path, session.model)
 
     def put(self, session, key: str | None = None) -> str:
         """Seed the pool with an existing (e.g. freshly fitted) session."""

@@ -10,9 +10,9 @@ warm pattern workspaces of unrelated datasets — untouched.
 
 The stack above composes with it end to end:
 
-* :meth:`repro.api.Session.apply_delta` versions the session's dataset,
-  drops its inference cache, and triggers *targeted* workspace
-  invalidation (:func:`repro.attention.invalidate_touching`);
+* :meth:`repro.api.Session.apply_delta` versions the session's dataset
+  (which moves every session cache key over it) and triggers *targeted*
+  workspace release (:func:`repro.attention.invalidate_touching`);
 * :meth:`repro.serve.InferenceServer.submit_delta` serializes mutations
   against in-flight micro-batches, and every result future carries the
   ``graph_version`` it was computed at;

@@ -27,10 +27,16 @@ __all__ = [
 
 
 class Parameter(Tensor):
-    """A tensor registered as a trainable model parameter."""
+    """A tensor registered as a trainable model parameter.
+
+    ``version`` counts the times its values were replaced: bumped by
+    :meth:`Optimizer.step <repro.tensor.optim.Optimizer.step>` and
+    :meth:`Module.load_state_dict`, never anywhere else.
+    """
 
     def __init__(self, data, name: str = ""):
         super().__init__(data, requires_grad=True, name=name)
+        self.version = 0
 
 
 class Module:
@@ -71,6 +77,16 @@ class Module:
                 for item in value:
                     if isinstance(item, Module):
                         yield from item.modules()
+
+    @property
+    def weight_version(self) -> int:
+        """Monotonic counter that moves whenever any parameter's values do.
+
+        The sum of the parameters' ``version`` counters: equal readings
+        mean no optimizer step or state load touched the weights in
+        between, so anything computed from the weights is still current.
+        """
+        return sum(p.version for p in self.parameters())
 
     def num_parameters(self) -> int:
         """Total number of scalar parameters."""
@@ -123,6 +139,7 @@ class Module:
                 raise ValueError(
                     f"shape mismatch for {path}: {param.data.shape} vs {arr.shape}")
             param.data = arr.astype(param.data.dtype, copy=True)
+            param.version += 1
 
     def _named_parameters(self, prefix: str) -> Iterator[tuple[str, Parameter]]:
         for key, value in self.__dict__.items():

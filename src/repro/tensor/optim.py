@@ -10,6 +10,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .module import Parameter
 from .tensor import Tensor
 
 __all__ = ["Optimizer", "SGD", "Adam", "AdamW", "clip_grad_norm"]
@@ -42,7 +43,14 @@ class Optimizer:
         for p in self.params:
             p.zero_grad()
 
-    def step(self) -> None:  # pragma: no cover - abstract
+    def step(self) -> None:
+        """Apply one update, then bump every :class:`Parameter`'s version."""
+        self._update()
+        for p in self.params:
+            if isinstance(p, Parameter):
+                p.version += 1
+
+    def _update(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
     # -- checkpointing --------------------------------------------------- #
@@ -89,7 +97,7 @@ class SGD(Optimizer):
         self.weight_decay = weight_decay
         self._velocity = [np.zeros_like(p.data) for p in self.params]
 
-    def step(self) -> None:
+    def _update(self) -> None:
         for p, v in zip(self.params, self._velocity):
             if p.grad is None:
                 continue
@@ -119,7 +127,7 @@ class Adam(Optimizer):
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0
 
-    def step(self) -> None:
+    def _update(self) -> None:
         self._t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1**self._t
@@ -145,7 +153,7 @@ class Adam(Optimizer):
 class AdamW(Adam):
     """Adam with decoupled weight decay (Loshchilov & Hutter)."""
 
-    def step(self) -> None:
+    def _update(self) -> None:
         self._t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1**self._t

@@ -102,7 +102,7 @@ def prepare_inputs(engine: Engine, model, g: CSRGraph, lap_pe_dim: int,
                    train: bool) -> tuple[SequenceContext, GraphEncodings]:
     """Engine preprocessing plus structural encodings — the one prepare site.
 
-    ``train`` picks ``prepare_graph`` (may advance tuner state) or the memoised
+    ``train`` picks ``prepare_graph`` (may advance tuner state) or the stateless
     ``prepare_inference``; ``ctx.preprocess_seconds`` gains the encoding time.
     The Laplacian eigensolve runs only for a ``model`` that reads
     ``enc.lap_pe``: one whose ``reads_lap_pe`` is true or absent.

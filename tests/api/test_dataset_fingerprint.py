@@ -19,6 +19,7 @@ from repro.api import (
 )
 from repro.graph import dataset_fingerprint, load_node_dataset
 from repro.store import open_store, write_store
+from tests.helpers import count_prepares
 
 
 @pytest.fixture
@@ -43,19 +44,6 @@ def run_config():
         train=TrainConfig(epochs=1),
         seed=0,
     )
-
-
-def count_prepares(session, monkeypatch):
-    """Instrument ``engine.prepare_inference`` with a call counter."""
-    calls = []
-    orig = session.engine.prepare_inference
-
-    def counting(graph):
-        calls.append(1)
-        return orig(graph)
-
-    monkeypatch.setattr(session.engine, "prepare_inference", counting)
-    return calls
 
 
 class TestFingerprintFunction:
@@ -108,8 +96,8 @@ class TestSessionCacheKeys:
 
     def test_subset_cache_shared_across_handles(self, run_config,
                                                 store_dir, monkeypatch):
-        # the subset entry lives in the compiled-backend cache, so this
-        # needs the fused backend; keys there carry the fingerprint too
+        # subset entries carry the fingerprint in their keys too; the
+        # fused backend adds a compiled program to the same entry
         import dataclasses
 
         run_config = dataclasses.replace(
@@ -122,7 +110,7 @@ class TestSessionCacheKeys:
         prepared = len(calls)
         session._dataset = open_store(store_dir)
         out = session.predict(nodes=nodes)
-        assert len(calls) == prepared  # compiled entry hit, no re-prepare
+        assert len(calls) == prepared  # cache hit, no re-prepare
         assert out.tobytes() == ref.tobytes()
 
     def test_version_bump_still_invalidates(self, run_config, store_dir,

@@ -13,6 +13,7 @@ from repro.models.encodings import compute_encodings
 from repro.tensor import no_grad, precision_scope
 from repro.train import planned_forward, prepare_inputs
 from tests.helpers import array_sha256 as _sha
+from tests.helpers import count_prepares
 
 
 def _blas_fingerprint():
@@ -81,12 +82,13 @@ def test_predict_equals_the_inlined_recipe(engine):
     assert got.tobytes() == want.tobytes()
 
 
-def test_predict_path_counts_encoding_time():
+def test_predict_path_counts_encoding_time(monkeypatch):
     # gp-raw's own preprocessing is free (0.0 s), so anything on the
     # context's clock after a predict is the encoding time
     s = _session("gp-raw")
+    prepared = count_prepares(s, monkeypatch)
     s.predict()
-    ctx = s._infer_cache[2]
+    (ctx,) = prepared
     assert ctx.preprocess_seconds > 0
     assert s.fit().preprocess_seconds > 0
 

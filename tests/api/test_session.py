@@ -16,6 +16,7 @@ from repro.api import (
     Session,
     TrainConfig,
 )
+from tests.helpers import count_prepares
 
 
 def node_config(**kw):
@@ -175,6 +176,28 @@ class TestPredictEvaluate:
         with pytest.raises(ValueError, match="graph-level"):
             fitted.predict(indices=np.array([0]))
 
+    def test_out_of_range_node_ids_rejected(self, fitted):
+        n = fitted.dataset.num_nodes
+        # unchecked, numpy indexing wraps -1 around to node n-1, and ids
+        # from n up fail with a bare IndexError deep in subgraph extraction
+        for bad in ([-1, 4], [n], [10 ** 6], [0.5, 2.0]):
+            with pytest.raises(ValueError, match="node ids"):
+                fitted.predict(nodes=np.array(bad))
+
+    def test_server_fails_only_the_out_of_range_request(self, fitted):
+        from repro.serve import InferenceServer, SessionPool
+
+        pool = SessionPool()
+        pool.put(fitted)
+        server = InferenceServer(pool=pool)
+        bad = server.submit(fitted.config, nodes=np.array([-1, 4]))
+        good = server.submit(fitted.config, nodes=np.array([0, 4]))
+        server.run_until_idle()
+        with pytest.raises(ValueError, match="node ids"):
+            bad.result(timeout=5.0)
+        np.testing.assert_array_equal(good.result(timeout=5.0),
+                                      fitted.predict(nodes=np.array([0, 4])))
+
 
 class TestCallbacks:
     def test_on_epoch_end_fires_every_epoch(self):
@@ -224,32 +247,39 @@ class TestCallbacks:
         with _pytest.raises(ValueError, match="eval_every"):
             node_config(train=TrainConfig(epochs=2, seq_len=48, eval_every=2))
 
-    def test_repeated_predict_reuses_prepared_context(self):
+    def test_repeated_predict_reuses_prepared_context(self, monkeypatch):
         s = Session(node_config(engine=EngineConfig("torchgt")))
         s.fit()
+        calls = count_prepares(s, monkeypatch)
         first = s.predict()
-        assert s._infer_cache is not None
-        cached = s._infer_cache[0]
         again = s.predict()
-        assert s._infer_cache[0] is cached
+        assert len(calls) == 1
         np.testing.assert_array_equal(first, again)
 
     def test_fit_invalidates_inference_cache(self):
         s = Session(node_config())
-        s.predict()
-        assert s._infer_cache is not None
+        before = s.predict()
         s.fit()
-        assert s._infer_cache is None
+        fresh = Session(node_config())
+        fresh.fit()
+        after = s.predict()
+        assert not np.array_equal(before, after)
+        np.testing.assert_array_equal(after, fresh.predict())
 
     def test_cache_built_by_mid_fit_callback_is_dropped(self):
-        s = Session(node_config(engine=EngineConfig("torchgt")))
+        cfg = node_config(engine=EngineConfig("torchgt"))
+        s = Session(cfg)
 
         class PredictMidFit(Callback):
             def on_epoch_end(self, epoch, record):
                 s.predict()  # populates the cache with mid-run state
 
         s.fit(callbacks=PredictMidFit())
-        assert s._infer_cache is None  # never served stale after fit
+        fresh = Session(cfg)
+        fresh.fit()
+        # never served stale after fit: the mid-run entries are keyed on
+        # the tuner state they were built at
+        np.testing.assert_array_equal(s.predict(), fresh.predict())
 
     def test_dataset_injection(self):
         from repro.graph import load_node_dataset
@@ -357,7 +387,6 @@ class TestInferCacheDatasetIdentity:
 
         s = Session(node_config(), dataset=ds_a)
         out_a = s.predict()
-        assert s._infer_cache is not None
 
         s._dataset = ds_b  # same name/scale, different data
         out_b = s.predict()
@@ -367,10 +396,10 @@ class TestInferCacheDatasetIdentity:
         np.testing.assert_array_equal(out_b, fresh)
         assert not np.array_equal(out_a, out_b)
 
-    def test_same_dataset_still_hits_the_cache(self):
+    def test_same_dataset_still_hits_the_cache(self, monkeypatch):
         s = Session(node_config(engine=EngineConfig("torchgt")))
-        s.predict()
-        ds, version, ctx, enc = s._infer_cache
-        s.predict()
-        assert s._infer_cache[2] is ctx and s._infer_cache[3] is enc
+        calls = count_prepares(s, monkeypatch)
+        first = s.predict()
+        np.testing.assert_array_equal(s.predict(), first)
+        assert len(calls) == 1
 

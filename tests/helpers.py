@@ -74,3 +74,20 @@ def dense_attention_einsum(q, k, v, g, bias=None, mask=None):
             np.einsum("hij,hid->hjd", ds, q) * scale,
             np.einsum("hij,hid->hjd", p, g),
             dbias)
+
+
+def count_prepares(session, monkeypatch):
+    """Record every ``engine.prepare_inference`` call a session makes.
+
+    Returns the list the wrapper appends each prepared context to, so
+    ``len()`` is the call count and the entries are the contexts built.
+    """
+    calls = []
+    orig = session.engine.prepare_inference
+
+    def counting(graph):
+        calls.append(orig(graph))
+        return calls[-1]
+
+    monkeypatch.setattr(session.engine, "prepare_inference", counting)
+    return calls

@@ -22,6 +22,7 @@ from repro.serve import (
     run_churn_loop,
 )
 from repro.stream import GraphDelta, full_rebuild
+from tests.helpers import count_prepares
 
 SCALE = 0.12
 MODEL = ModelConfig("graphormer-slim", num_layers=2, hidden_dim=16,
@@ -143,7 +144,8 @@ class TestServerMutations:
         assert ok.result(timeout=5.0) is not None
         assert server.stats.failed == 1
 
-    def test_mutation_invalidates_only_this_datasets_sessions(self, dataset):
+    def test_mutation_invalidates_only_this_datasets_sessions(
+            self, dataset, monkeypatch):
         # two configs over two datasets in one pool: a delta to one must
         # not cold-start the other (its cached context stays)
         cfg_a, cfg_b = node_config(seed=0), RunConfig(
@@ -157,13 +159,17 @@ class TestServerMutations:
         fb = server.submit(cfg_b)
         server.run_until_idle()
         session_b = pool.acquire(cfg_b)
-        cache_b = session_b._infer_cache
-        assert cache_b is not None
+        prepares_b = count_prepares(session_b, monkeypatch)
         mutation = server.submit_delta(
             cfg_a, GraphDelta(add_edges=[[0, 1]]))
         server.run_until_idle()
         assert mutation.result(timeout=5.0) == 1
-        assert session_b._infer_cache is cache_b  # untouched by the delta
+        again_b = server.submit(cfg_b)
+        server.run_until_idle()
+        # b's cached context is untouched by the delta: served warm
+        np.testing.assert_array_equal(again_b.result(timeout=5.0),
+                                      fb.result(timeout=5.0))
+        assert prepares_b == []
 
 
 class TestClusterMutations:
