@@ -1,22 +1,15 @@
 """The repository's single injectable clock source.
 
-Before this module, the serve stack mixed clock domains: request
-deadlines were absolute :func:`time.perf_counter` timestamps (the queue
-contract) while the cluster's heartbeat aging and drain watchdogs read
-:func:`time.monotonic`.  Both are monotonic, but they are *different
-counters with different zeros* — a virtual-clock test could freeze one
-domain while the other kept running, and deadline culling could drift
-from heartbeat timeouts in ways no test could pin down.
-
-Every serve-layer timestamp — and, since the observability layer
-landed, every :mod:`repro.obs` span timestamp and every benchmark
-timing loop — flows through :func:`now`.  The default source is
-``time.perf_counter`` (preserving the queue's documented deadline
-domain); tests inject a fake via :func:`set_clock` /
-:func:`clock_override` and deadline culling, worker-health policing,
-latency accounting *and* trace span durations advance together,
-deterministically.  Scheduling sleeps (``Event.wait`` timeouts) stay on
-the real clock — only *measurements and comparisons* go through here.
+Every serve-layer timestamp and decision — request deadlines, heartbeat
+aging, latency accounting — and every :mod:`repro.obs` span and
+benchmark timing loop reads :func:`now`.  The default source is
+``time.perf_counter``; tests inject a fake via :func:`set_clock` /
+:func:`clock_override`, and deadline culling, worker-health policing,
+latency accounting and trace spans then advance together,
+deterministically.  The serving tiers have one wait
+(:meth:`repro.serve.ServeTier._wait_for`): it never sleeps when only
+the caller can move the work, and its one wall-clock reading is the
+watchdog bounding a real wait on worker processes.
 
 The module lives at the package root so that :mod:`repro.obs` can use
 it without importing the serving layer.

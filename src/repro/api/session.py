@@ -392,64 +392,14 @@ class Session:
                     raise ValueError(f"nodes= must be integer node ids in "
                                      f"[0, {ds.num_nodes}), got {nodes!r}")
                 sorted_nodes = np.sort(nodes)
-            # keyed on the dataset's content fingerprint (stable across
-            # handles onto the same store bytes) rather than the handle's
-            # id(), so store-backed sessions share entries across reopens
-            key = (dataset_fingerprint(ds), getattr(ds, "graph_version", 0),
-                   None if nodes is None else sorted_nodes.tobytes(),
-                   engine.state_fingerprint())
-            entry = self._cache.get(key)
-            if entry is None:
-                # cluster reordering + pattern + ECR reformation and the
-                # encodings dominate small-model inference cost; subset
-                # serving adds subgraph extraction
-                graph = (ds.graph if nodes is None
-                         else ds.graph.subgraph(sorted_nodes)[0])
-                ctx, enc = prepare_inputs(engine, model, graph,
-                                          t.lap_pe_dim, train=False)
-                if nodes is None:
-                    self._stamp_context(ctx)
-                entry = (ctx, enc, None, None)
-            ctx, enc, prog, traced_at = entry
-            feats = ds.features if nodes is None else ds.features[sorted_nodes]
-            inv = ctx.node_permutation_inverse()
             model.eval()
-            # np.asarray materializes store-backed feature views; in-RAM
-            # arrays pass through untouched
-            feats_in = feats[inv] if inv is not None else np.asarray(feats)
-            if not fused:
-                prog = None
-            elif traced_at != model.weight_version:
-                # programs fold the weights as constants: replay only at
-                # the weight version they were traced at, else re-trace
-                def ref_forward(f):
-                    with no_grad():
-                        return planned_forward(model, engine, ctx, f, enc,
-                                               train=False)
-                prog = compile_plan(ref_forward, feats_in, engine.precision)
-                outcome = "compiled" if prog is not None else "fallback"
-                get_registry().counter(
-                    "repro_backend_compile_total",
-                    "compile attempts by outcome (compiled / fallback)",
-                    labels=("outcome",)).inc(outcome=outcome)
-                entry = (ctx, enc, prog, model.weight_version)
-            self._cache[key] = entry
-            self._cache.move_to_end(key)
-            if len(self._cache) > self._COMPILED_CAP:
-                self._cache.popitem(last=False)
-            if prog is not None and prog.input_shape == feats_in.shape:
-                tracer = get_tracer()
-                if tracer.enabled and tracer.current() is not None:
-                    with tracer.span("compiled_replay",
-                                     attrs={"steps": prog.num_steps}):
-                        logits = prog.run(feats_in)
-                else:
-                    logits = prog.run(feats_in)
-            else:
-                with no_grad():
-                    out = planned_forward(model, engine, ctx, feats_in, enc,
-                                          train=False)
-                logits = out.data
+            logits, inv = self._forward(
+                None if nodes is None else sorted_nodes.tobytes(),
+                # subset serving adds subgraph extraction to the prepare
+                lambda: (ds.graph if nodes is None
+                         else ds.graph.subgraph(sorted_nodes)[0]),
+                ds.features if nodes is None else ds.features[sorted_nodes],
+                fused)
             if inv is not None:  # undo the cluster reordering
                 restored = np.empty_like(logits)
                 restored[inv] = logits
@@ -460,23 +410,76 @@ class Session:
             return logits
 
     def _predict_graphs(self, indices) -> np.ndarray:
-        ds, engine, model = self.dataset, self.engine, self.model
-        t = self.config.train
+        ds, engine = self.dataset, self.engine
         idx = np.arange(ds.num_graphs) if indices is None else np.asarray(indices)
-        outs = []
-        model.eval()
-        with precision_scope(engine.precision), no_grad():
-            for i in idx:
-                ctx, enc = prepare_inputs(engine, model, ds.graphs[i],
-                                          t.lap_pe_dim, train=False)
-                feats = ds.features[i]
-                inv = ctx.node_permutation_inverse()
-                if inv is not None:
-                    feats = feats[inv]
-                out = planned_forward(model, engine, ctx, feats, enc,
+        self.model.eval()
+        with precision_scope(engine.precision):
+            # the reference forward: no program is compiled per graph
+            return np.stack([
+                self._forward(int(i), lambda i=i: ds.graphs[i],
+                              ds.features[i], fused=False)[0].reshape(-1)
+                for i in idx])
+
+    def _forward(self, slot, graph_of, feats, fused: bool):
+        """Prepare (through the cache) → permute → forward one graph.
+
+        ``slot`` is the key's node-set component (``None``: the full
+        node graph; a subset's node-id bytes; a collection's graph
+        index); ``graph_of()`` builds the graph on a miss.  Returns the
+        output in the prepared node order and its inverse permutation.
+        """
+        ds, engine, model = self.dataset, self.engine, self.model
+        # keyed on the dataset's content fingerprint (stable across
+        # handles onto the same store bytes) rather than the handle's
+        # id(), so store-backed sessions share entries across reopens
+        key = (dataset_fingerprint(ds), getattr(ds, "graph_version", 0),
+               slot, engine.state_fingerprint())
+        entry = self._cache.get(key)
+        if entry is None:
+            # cluster reordering + pattern + ECR reformation and the
+            # encodings dominate small-model inference cost
+            ctx, enc = prepare_inputs(engine, model, graph_of(),
+                                      self.config.train.lap_pe_dim,
                                       train=False)
-                outs.append(out.data.reshape(-1))
-        return np.stack(outs)
+            if slot is None:
+                self._stamp_context(ctx)
+            entry = (ctx, enc, None, None)
+        ctx, enc, prog, traced_at = entry
+        inv = ctx.node_permutation_inverse()
+        # np.asarray materializes store-backed feature views; in-RAM
+        # arrays pass through untouched
+        feats_in = feats[inv] if inv is not None else np.asarray(feats)
+        if not fused:
+            prog = None
+        elif traced_at != model.weight_version:
+            # programs fold the weights as constants: replay only at
+            # the weight version they were traced at, else re-trace
+            def ref_forward(f):
+                with no_grad():
+                    return planned_forward(model, engine, ctx, f, enc,
+                                           train=False)
+            prog = compile_plan(ref_forward, feats_in, engine.precision)
+            outcome = "compiled" if prog is not None else "fallback"
+            get_registry().counter(
+                "repro_backend_compile_total",
+                "compile attempts by outcome (compiled / fallback)",
+                labels=("outcome",)).inc(outcome=outcome)
+            entry = (ctx, enc, prog, model.weight_version)
+        self._cache[key] = entry
+        self._cache.move_to_end(key)
+        if len(self._cache) > self._COMPILED_CAP:
+            self._cache.popitem(last=False)
+        if prog is not None and prog.input_shape == feats_in.shape:
+            tracer = get_tracer()
+            if tracer.enabled and tracer.current() is not None:
+                with tracer.span("compiled_replay",
+                                 attrs={"steps": prog.num_steps}):
+                    return prog.run(feats_in), inv
+            return prog.run(feats_in), inv
+        with no_grad():
+            out = planned_forward(model, engine, ctx, feats_in, enc,
+                                  train=False)
+        return out.data, inv
 
     # -- persistence ----------------------------------------------------- #
     def save_config(self, path: str) -> None:

@@ -29,8 +29,8 @@ to every worker (cluster), and every result future carries the
 ``graph_version`` it was computed at so clients can detect staleness.
 All serve-layer timestamps flow through one injectable clock source
 (:mod:`repro._clock`): deadlines, heartbeat aging and latency
-accounting advance together, on the wall clock or a test's
-:class:`ManualClock`.
+accounting advance together, on the real clock or a test's
+:class:`ManualClock`, and a driven tier never sleeps on the wall clock.
 """
 
 from .._clock import ManualClock, clock_override

@@ -43,7 +43,6 @@ from __future__ import annotations
 import itertools
 import pickle
 import threading
-import time
 from dataclasses import dataclass, field
 
 from .. import _clock
@@ -602,6 +601,19 @@ class ServingCluster(ServeTier):
     def _drain_round(self, now: float | None) -> int:
         return self.step(now=now)
 
+    def _progress_mark(self):
+        # a round also moves work by shipping or requeueing units
+        return self.pending(), self.stats.dispatched, self.stats.requeued
+
+    def _wake_sources(self) -> tuple[list, float]:
+        with self._lock:
+            sources = [source for wid, handle in self.workers.items()
+                       if wid not in self._dead
+                       for source in handle.waitables()]
+        # wake for the next ping round, which also ages unanswered pings
+        wake_in = self._last_ping + self.heartbeat_interval_s - _clock.now()
+        return sources, wake_in
+
     def _loop_once(self) -> None:
         self.step()
         if not self.pending():
@@ -905,8 +917,9 @@ class ServingCluster(ServeTier):
     def stats_snapshot(self, timeout_s: float = 5.0) -> dict:
         """Cluster counters + merged per-worker server/pool statistics.
 
-        Round-trips a stats request to every live worker (late workers
-        are reported as missing rather than blocking forever), merges
+        Round-trips a stats request to every live worker — one that
+        does not answer within ``timeout_s``, or cannot answer without
+        the caller (a driven inline worker), is reported missing — merges
         their :meth:`~repro.serve.server.ServerStats.state_dict` via
         :meth:`~repro.serve.server.ServerStats.merge`, and sums pool
         counters.  ``"obs"`` is the fleet-wide
@@ -925,17 +938,19 @@ class ServingCluster(ServeTier):
             replies = self._stats_replies.setdefault(seq, {})
             for wid in live:
                 self._send(wid, ("stats", seq))
-        # real-time liveness bound: stays on the wall clock even under
-        # an injected fake serving clock (see run_until_idle)
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
+
+        def round_() -> None:
             with self._lock:
+                self._maybe_ping()
                 self._receive()
                 self._check_workers()
-                if all(w in replies for w in self._heartbeat_targets()
-                       if w in live):
-                    break
-            time.sleep(0.001)
+
+        def answered() -> bool:
+            with self._lock:
+                return all(w in replies for w in self._heartbeat_targets()
+                           if w in live)
+
+        self._wait_for(round_, answered, timeout_s)
         with self._lock:
             states = self._stats_replies.pop(seq, {})
         pools = [s["pool"] for s in states.values()]
@@ -975,8 +990,18 @@ class ServingCluster(ServeTier):
 
     # -- lifecycle -------------------------------------------------------- #
     def _teardown(self) -> None:
-        """Shut every worker down, reap processes, close the logs."""
+        """Fail what the final drain left in flight with
+        :class:`ServerClosedError`, shut every worker down, reap
+        processes, close the logs."""
         with self._lock:
+            for dispatch in self._inflight.values():
+                error = ServerClosedError(
+                    f"closed with unit {dispatch.request.id} in flight")
+                if dispatch.mutation is not None:
+                    self._settle_mutation(dispatch, error=error)
+                else:
+                    self._resolve(dispatch.request, _clock.now(), error=error)
+            self._inflight.clear()
             for wid in list(self.workers):
                 if wid not in self._dead:
                     self._send(wid, ("shutdown",))

@@ -5,10 +5,12 @@
 apart, so what a caller can observe of a *tier* is written here once:
 :class:`ServeTier` owns the intake (``submit``), the exactly-once
 resolve, the driven/threaded loop (``run_until_idle``, ``start`` /
-``stop``), the close order and the operator surface (``wal_for``,
-``replica_lag``, ``set_tracing``, ``trace_spans``, ``obs_snapshot``); a
-concrete tier adds ``step``, ``submit_delta``, ``graph_version``,
-``pending``, ``stats_snapshot`` and three private hooks.  Anything that
+``stop``) with the one wait both tiers block in (``_wait_for``), the
+close order and the operator surface (``wal_for``, ``replica_lag``,
+``set_tracing``, ``trace_spans``, ``obs_snapshot``); a concrete tier
+adds ``step``, ``submit_delta``, ``graph_version``, ``pending``,
+``stats_snapshot`` and three private hooks (a tier whose work moves in
+other processes also names them in ``_wake_sources``).  Anything that
 is a :class:`ServeTier` can sit behind :class:`~repro.net.NetServer`,
 the CLI or the load generators without the caller knowing which one it
 holds (the method table is in ``docs/serving.md``).
@@ -23,6 +25,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from multiprocessing import connection as mp_connection
 
 import numpy as np
 
@@ -267,24 +270,62 @@ class ServeTier(ThreadDriven):
         """Step until nothing is pending; returns completions.
 
         ``now`` threads a virtual clock into every round
-        (``_drain_round(now)``, which must make progress whenever work
-        is ready).  The ``timeout_s`` watchdog is a real-time liveness
-        bound, so it stays on the wall clock even under an injected
-        fake serving clock — a frozen :class:`~repro.serve.ManualClock`
-        must not turn work that cannot finish into an infinite spin.
+        (``_drain_round(now)``).  Raises :class:`TimeoutError` as soon
+        as what is left can only move if the caller moves it (driven
+        inline workers), or at the ``timeout_s`` watchdog while waiting
+        on process workers — see :meth:`_wait_for`.
+        """
+        done = 0
+
+        def round_() -> bool:
+            nonlocal done
+            before = self._progress_mark()
+            completed = self._drain_round(now)
+            done += completed
+            return bool(completed) or self._progress_mark() != before
+
+        if not self._wait_for(round_, lambda: not self.pending(), timeout_s):
+            raise TimeoutError(
+                f"{type(self).__name__} not idle after {timeout_s}s "
+                f"({self.pending()} pending)")
+        return done
+
+    def _wait_for(self, round_, done, timeout_s: float) -> bool:
+        """The tier's one wait loop: run ``round_()`` until ``done()``.
+
+        After a round that made no progress (returned falsy), it blocks
+        with :func:`multiprocessing.connection.wait` on what
+        :meth:`_wake_sources` names — or for a short slice while a tier
+        thread runs, which has no handle to wait on — until the next
+        timed duty or the ``timeout_s`` watchdog.  Returns ``False`` at
+        the watchdog, and at once when nothing but the caller can move
+        the work.  The watchdog bounds real waiting on other processes,
+        so it is the one serve-layer reading of the wall clock.
         """
         deadline = time.monotonic() + timeout_s
-        done = 0
-        while self.pending():
-            progressed = self._drain_round(now)
-            done += progressed
+        while not done():
             if time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"{type(self).__name__} not idle after {timeout_s}s "
-                    f"({self.pending()} pending)")
-            if not progressed and self.pending():
-                time.sleep(0.001)  # waiting on someone else's progress
-        return done
+                return False
+            if round_() or done():
+                continue
+            sources, wake_in = self._wake_sources()
+            threaded = self._thread not in (None, threading.current_thread())
+            if not sources and not threaded:
+                return False
+            timeout = min(deadline - time.monotonic(), wake_in,
+                          0.001 if threaded else wake_in)
+            mp_connection.wait(sources, max(0.0, timeout))
+        return True
+
+    def _progress_mark(self):
+        """Changes whenever a round moved work (compared around it)."""
+        return self.pending()
+
+    def _wake_sources(self) -> tuple[list, float]:
+        """``(sources, wake_in)`` for :meth:`_wait_for`: the pipes and
+        sentinels of parties that progress without the caller, and the
+        serving-clock seconds to the tier's next timed duty."""
+        return [], float("inf")
 
     def _loop(self) -> None:
         super()._loop()

@@ -447,6 +447,10 @@ class ProcessWorker:
         """Whether the child process is still running."""
         return self.process.is_alive()
 
+    def waitables(self) -> tuple:
+        """The pipe and the process sentinel (ready on reply or exit)."""
+        return self.conn, self.process.sentinel
+
     def terminate(self) -> None:
         """Hard-kill the child and reap it."""
         if self.process.is_alive():
@@ -520,6 +524,10 @@ class InlineWorker:
     def alive(self) -> bool:
         """False once the worker failed or shut down."""
         return not self._dead
+
+    def waitables(self) -> tuple:
+        """Nothing: an inline worker moves only when the cluster polls it."""
+        return ()
 
     def fail(self, deliver_pending: bool = False,
              hold_results: bool = False) -> None:

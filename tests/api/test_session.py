@@ -172,6 +172,31 @@ class TestPredictEvaluate:
         with pytest.raises(ValueError, match="node-level"):
             s.predict(batch_size=16)
 
+    def test_graph_evaluate_prepares_each_graph_once(self, monkeypatch):
+        import repro.api.session as session_mod
+
+        cfg = RunConfig(
+            data=DataConfig("zinc", scale=0.05),
+            model=ModelConfig("graphormer-slim", num_layers=2, hidden_dim=16,
+                              num_heads=4, dropout=0.0),
+            engine=EngineConfig("gp-sparse"),
+            train=TrainConfig(epochs=1, lr=3e-3))
+        s = Session(cfg)
+        calls, prepare = [], session_mod.prepare_inputs
+
+        def counting(*args, **kw):
+            calls.append(args)
+            return prepare(*args, **kw)
+
+        monkeypatch.setattr(session_mod, "prepare_inputs", counting)
+        first = s.evaluate("test")
+        assert s.evaluate("test") == first
+        assert len(s.dataset.test_idx) == 3
+        assert len(calls) == 3  # the second evaluate is all cache hits
+        np.testing.assert_array_equal(
+            s.predict(indices=s.dataset.test_idx),
+            s.predict(indices=s.dataset.test_idx[::-1])[::-1])
+
     def test_node_task_rejects_graph_kwargs(self, fitted):
         with pytest.raises(ValueError, match="graph-level"):
             fitted.predict(indices=np.array([0]))

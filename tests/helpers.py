@@ -6,6 +6,8 @@ collects cleanly without relying on conftest's import side effects.
 """
 
 import hashlib
+import threading
+from collections import deque
 
 import numpy as np
 
@@ -91,3 +93,42 @@ def count_prepares(session, monkeypatch):
 
     monkeypatch.setattr(session.engine, "prepare_inference", counting)
     return calls
+
+
+def snapshot_with_append_inside(stats, settle_s=0.25):
+    """Snapshot a latency-windowed ``StatBlock`` while a writer thread
+    appends a sample *inside* the snapshot's copy of the window.
+
+    The window is swapped for a deque whose iterator, after handing out
+    its first item, releases the writer and waits up to ``settle_s`` for
+    the append.  Unlocked, the append lands mid-copy and the copy
+    raises; locked, the writer blocks until the snapshot is done and
+    the wait runs out.  Returns ``(snapshot or None, errors, writer)``.
+    """
+    inside, appended = threading.Event(), threading.Event()
+
+    class Window(deque):
+        def __iter__(self):
+            for i, item in enumerate(deque.__iter__(self)):
+                yield item
+                if i == 0:
+                    inside.set()
+                    appended.wait(timeout=settle_s)
+
+    stats.latencies = Window([1e-3, 2e-3, 3e-3], maxlen=4096)
+
+    def append():
+        inside.wait(timeout=60.0)
+        stats.record_latency(4e-3)
+        appended.set()
+
+    writer = threading.Thread(target=append)
+    writer.start()
+    snap, errors = None, []
+    try:
+        snap = stats.snapshot()
+    except Exception as exc:
+        errors.append(exc)
+    inside.set()  # a snapshot that never iterated must not strand the writer
+    writer.join(timeout=60.0)
+    return snap, errors, writer

@@ -32,6 +32,7 @@ from repro.serve import (
 )
 from repro.serve.cluster import ClusterStats
 from repro.serve.worker import WIRE_PROTOCOL_VERSION, WorkerInit, WorkerRuntime
+from tests.helpers import snapshot_with_append_inside
 
 MODEL = ModelConfig("graphormer-slim", num_layers=2, hidden_dim=16,
                     num_heads=4, dropout=0.0)
@@ -269,34 +270,12 @@ class TestDeathRequeue:
 class TestSnapshotRaces:
     def test_cluster_stats_snapshot_vs_latency_writer(self):
         """Regression: snapshot() copied the latency deque while another
-        thread appended — iteration over a mutating deque raises."""
-        stats = ClusterStats()
-        stop = threading.Event()
-        errors = []
-
-        def writer():
-            i = 0
-            while not stop.is_set():
-                stats.record_latency(i * 1e-4)
-                i += 1
-
-        def reader():
-            try:
-                for _ in range(2000):
-                    snap = stats.snapshot()
-                    # NaN-safe: the sample may still be empty early on
-                    assert not (snap["latency_p50_s"] < 0.0)
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        w = threading.Thread(target=writer)
-        r = threading.Thread(target=reader)
-        w.start()
-        r.start()
-        r.join()
-        stop.set()
-        w.join()
+        thread appended — iteration over a mutating deque raises.  The
+        append is forced inside the copy."""
+        snap, errors, writer = snapshot_with_append_inside(ClusterStats())
+        assert not writer.is_alive()
         assert not errors
+        assert not (snap["latency_p50_s"] < 0.0)
 
     def test_snapshot_hammered_during_threaded_serving(self, configs,
                                                        dataset):

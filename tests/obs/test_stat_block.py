@@ -12,8 +12,6 @@ were folded into ``StatBlock`` — snapshot key order and the Prometheus
 """
 
 import hashlib
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -44,6 +42,7 @@ from repro.serve import (
 from repro.serve.worker import WorkerInit, WorkerRuntime
 from repro.store.chunks import ChunkCache
 from repro.stream import make_churn_deltas
+from tests.helpers import snapshot_with_append_inside
 
 SURFACES = [ServerStats, ClusterStats, NetServerStats, RouterStats,
             ElasticStats, PoolStats, ChunkCache]
@@ -144,38 +143,12 @@ class TestContract:
 @pytest.mark.parametrize("cls", WITH_LATENCY)
 class TestLatencyWindow:
     def test_snapshot_never_raises_against_a_latency_writer(self, cls):
-        """Iterating a deque during an append raises: both sides lock."""
-        stats = cls()
-        stop = threading.Event()
-        errors = []
-
-        def writer():
-            i = 0
-            while not stop.is_set():
-                stats.record_latency(i * 1e-4)
-                i += 1
-
-        def reader():
-            try:
-                for _ in range(1500):
-                    assert not (stats.snapshot()["latency_p50_s"] < 0.0)
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            w = threading.Thread(target=writer)
-            r = threading.Thread(target=reader)
-            w.start()
-            r.start()
-            r.join(timeout=60.0)
-            stop.set()
-            w.join(timeout=10.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not r.is_alive() and not w.is_alive()
+        """Iterating a deque during an append raises: both sides lock.
+        The append is forced inside the snapshot's copy of the window."""
+        snap, errors, writer = snapshot_with_append_inside(cls())
+        assert not writer.is_alive()
         assert not errors
+        assert not (snap["latency_p50_s"] < 0.0)
 
     def test_window_is_bounded_and_feeds_the_histogram(self, cls):
         stats = cls()

@@ -6,6 +6,8 @@ death/requeue interleavings are exact.  One end-to-end test spins real
 spawned worker processes.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -21,11 +23,13 @@ from repro.graph import load_node_dataset
 from repro.serve import (
     BatchPolicy,
     DeadlineExceededError,
+    ManualClock,
     NoWorkersError,
     QueueFullError,
     ServeError,
     ServerClosedError,
     ServingCluster,
+    clock_override,
     config_key,
 )
 
@@ -205,10 +209,10 @@ class TestWorkerDeath:
         # a driven cluster can sit idle far longer than the heartbeat
         # timeout (REPL at a prompt); only an *unanswered ping* or a
         # dead process handle may declare a worker dead
-        with inline_cluster(configs, dataset,
-                            heartbeat_timeout_s=0.01) as cluster:
-            import time as _time
-            _time.sleep(0.03)  # idle well past the heartbeat timeout
+        clock = ManualClock()
+        with clock_override(clock), inline_cluster(
+                configs, dataset, heartbeat_timeout_s=0.01) as cluster:
+            clock.advance(0.03)  # idle well past the heartbeat timeout
             cluster.step()
             assert cluster.stats.worker_deaths == 0
             assert len(cluster.router.workers()) == 2
@@ -218,13 +222,13 @@ class TestWorkerDeath:
 
     def test_hung_worker_detected_by_unanswered_ping(self, configs,
                                                      dataset):
-        with inline_cluster(configs, dataset, auto=False,
-                            heartbeat_interval_s=0.0,
-                            heartbeat_timeout_s=0.01) as cluster:
-            import time as _time
+        clock = ManualClock()
+        with clock_override(clock), inline_cluster(
+                configs, dataset, auto=False, heartbeat_interval_s=0.0,
+                heartbeat_timeout_s=0.01) as cluster:
             cluster.step()  # sends pings; auto=False workers never answer
             assert all(h.alive() for h in cluster.workers.values())
-            _time.sleep(0.03)
+            clock.advance(0.03)
             cluster.step()  # outstanding pings older than the timeout
             assert cluster.stats.worker_deaths == 2
             assert cluster.router.workers() == []
@@ -244,6 +248,46 @@ class TestWorkerDeath:
             assert victim in dispatch.excluded
             assert dispatch.worker_id != victim
             assert dispatch.attempts == 2
+
+
+class TestCloseContract:
+    """Work no party can finish without the caller: the drain gives up
+    at once, and close() settles it instead of leaking its futures."""
+
+    def test_run_until_idle_gives_up_at_once_on_driven_work(
+            self, configs, dataset, reference):
+        clock = ManualClock()  # frozen: no heartbeat ever fires
+        with clock_override(clock), inline_cluster(
+                configs, dataset, auto=False) as cluster:
+            fut = cluster.submit(configs[0])
+            t0 = time.monotonic()
+            with pytest.raises(TimeoutError):
+                cluster.run_until_idle(timeout_s=60.0)
+            assert time.monotonic() - t0 < 1.0
+            for handle in cluster.workers.values():
+                handle.step_worker()  # the caller moves the work itself
+            cluster.run_until_idle()
+            assert np.array_equal(fut.result(timeout=1.0), reference[0])
+
+    def test_close_settles_what_a_driven_cluster_cannot_finish(
+            self, configs, dataset):
+        from repro.serve import make_churn_workload
+
+        delta = make_churn_workload(dataset, 1, edges_per_delta=3,
+                                    seed=11)[0]
+        clock = ManualClock()
+        with clock_override(clock):
+            cluster = inline_cluster(configs, dataset, auto=False)
+            fut = cluster.submit(configs[0])
+            cluster.step()  # in flight on a worker nobody steps
+            mutation = cluster.submit_delta(configs[0], delta)
+            queued = cluster.submit(configs[1])
+            cluster.close()
+        for future in (fut, mutation, queued):
+            assert isinstance(future.exception(timeout=1.0),
+                              ServerClosedError)
+        assert cluster.stats.failed == 3
+        assert cluster.stats.completed == 0
 
 
 class TestMutationDeath:
