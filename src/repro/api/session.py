@@ -75,8 +75,10 @@ class Session:
         # is a function of — (dataset fingerprint, graph_version,
         # node-set bytes or None for the full graph, engine state
         # fingerprint) → (ctx, enc, program, weight version the program
-        # was traced at).  A mutation moves a key component and clears
-        # nothing; stale entries age out.  A traced-at of None means no
+        # was traced at); a requested set of collection graphs is one
+        # entry, ({graph index: (ctx, enc)}, None, None, None).  A
+        # mutation moves a key component and clears nothing; stale
+        # entries age out.  A traced-at of None means no
         # compile was attempted; a None program after an attempt records
         # a fallback, so the reference path is not re-traced every call.
         self._cache: OrderedDict = OrderedDict()
@@ -410,30 +412,61 @@ class Session:
             return logits
 
     def _predict_graphs(self, indices) -> np.ndarray:
-        ds, engine = self.dataset, self.engine
+        ds, engine, model = self.dataset, self.engine, self.model
         idx = np.arange(ds.num_graphs) if indices is None else np.asarray(indices)
-        self.model.eval()
+        # the requested set of graphs is one cache entry: an entry per
+        # graph lets a split of more than _COMPILED_CAP graphs evict its
+        # own first graphs before the next call reads them again
+        members = np.unique(idx)
+        key = self._cache_key(("graphs", members.tobytes()))
+        model.eval()
         with precision_scope(engine.precision):
+            entry = self._cache.get(key)
+            if entry is None:
+                lap_pe_dim = self.config.train.lap_pe_dim
+                entry = ({int(i): prepare_inputs(engine, model, ds.graphs[i],
+                                                 lap_pe_dim, train=False)
+                          for i in members}, None, None, None)
+            self._remember(key, entry)
             # the reference forward: no program is compiled per graph
-            return np.stack([
-                self._forward(int(i), lambda i=i: ds.graphs[i],
-                              ds.features[i], fused=False)[0].reshape(-1)
-                for i in idx])
+            outs = []
+            for i in idx:
+                ctx, enc = entry[0][int(i)]
+                inv = ctx.node_permutation_inverse()
+                feats = ds.features[i]
+                with no_grad():
+                    out = planned_forward(model, engine, ctx,
+                                          feats[inv] if inv is not None else feats,
+                                          enc, train=False)
+                outs.append(out.data.reshape(-1))
+            return np.stack(outs)
+
+    def _cache_key(self, slot) -> tuple:
+        """The derivation-cache key of ``slot`` at the current state."""
+        ds = self.dataset
+        # keyed on the dataset's content fingerprint (stable across
+        # handles onto the same store bytes) rather than the handle's
+        # id(), so store-backed sessions share entries across reopens
+        return (dataset_fingerprint(ds), getattr(ds, "graph_version", 0),
+                slot, self.engine.state_fingerprint())
+
+    def _remember(self, key, entry) -> None:
+        """Store ``entry`` as the most recently used; evict past the cap."""
+        self._cache[key] = entry
+        self._cache.move_to_end(key)
+        if len(self._cache) > self._COMPILED_CAP:
+            self._cache.popitem(last=False)
 
     def _forward(self, slot, graph_of, feats, fused: bool):
         """Prepare (through the cache) → permute → forward one graph.
 
         ``slot`` is the key's node-set component (``None``: the full
-        node graph; a subset's node-id bytes; a collection's graph
-        index); ``graph_of()`` builds the graph on a miss.  Returns the
-        output in the prepared node order and its inverse permutation.
+        node graph; a subset's node-id bytes); ``graph_of()`` builds the
+        graph on a miss.  Returns the output in the prepared node order
+        and its inverse permutation.
         """
-        ds, engine, model = self.dataset, self.engine, self.model
-        # keyed on the dataset's content fingerprint (stable across
-        # handles onto the same store bytes) rather than the handle's
-        # id(), so store-backed sessions share entries across reopens
-        key = (dataset_fingerprint(ds), getattr(ds, "graph_version", 0),
-               slot, engine.state_fingerprint())
+        engine, model = self.engine, self.model
+        key = self._cache_key(slot)
         entry = self._cache.get(key)
         if entry is None:
             # cluster reordering + pattern + ECR reformation and the
@@ -465,10 +498,7 @@ class Session:
                 "compile attempts by outcome (compiled / fallback)",
                 labels=("outcome",)).inc(outcome=outcome)
             entry = (ctx, enc, prog, model.weight_version)
-        self._cache[key] = entry
-        self._cache.move_to_end(key)
-        if len(self._cache) > self._COMPILED_CAP:
-            self._cache.popitem(last=False)
+        self._remember(key, entry)
         if prog is not None and prog.input_shape == feats_in.shape:
             tracer = get_tracer()
             if tracer.enabled and tracer.current() is not None:

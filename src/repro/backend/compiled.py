@@ -5,8 +5,8 @@ The pipeline is ``trace → fold → lower → verify``:
 * **fold** — any node whose inputs are all constants (weights, encodings,
   anything not derived from the feature matrix) is deleted and its traced
   output array *is* its folded value — no recomputation.  This removes
-  entire encoding subgraphs (e.g. Graphormer's per-forward (S,S,H) SPD
-  bias gather + transpose) from the steady-state path.
+  entire encoding subgraphs (e.g. Graphormer's per-forward (H,S,S) SPD
+  bias gather) from the steady-state path.
 * **lower** — each surviving node becomes a step executing the same
   ``*_forward`` helper the reference autograd op calls, but against a
   persistent per-step workspace dict, so steady-state replay performs no
@@ -33,7 +33,9 @@ from ..attention.dense import dense_attention_forward
 from ..attention.flash import flash_forward
 from ..attention.sparse import sparse_attention_forward
 from ..obs.metrics import get_registry
-from ..tensor.functional import gelu_forward, layer_norm_forward, softmax_forward, workspace_buffer as _buf
+from ..tensor.functional import (
+    gelu_forward, head_major_lookup_forward, layer_norm_forward, softmax_forward,
+    workspace_buffer as _buf)
 from ..tensor.precision import Precision
 from .trace import TraceRecorder, capture_active, trace_capture
 
@@ -138,6 +140,11 @@ def _step_embedding(srcs, st):
     return out
 
 
+def _step_head_lookup(srcs, st):
+    out = _buf(st.ws, "nat", st.out_shape, srcs[0].dtype)
+    return head_major_lookup_forward(srcs[0], st.params["indices"], out=out)
+
+
 def _step_dense_attention(srcs, st):
     bias = srcs[3] if st.params["has_bias"] else None
     out, _p = dense_attention_forward(srcs[0], srcs[1], srcs[2], bias=bias,
@@ -175,6 +182,7 @@ _STEP_FNS: dict[str, Callable] = {
     "softmax": _step_softmax,
     "layer_norm": _step_layer_norm,
     "embedding": _step_embedding,
+    "head_lookup": _step_head_lookup,
     "dense_attention": _step_dense_attention,
     "sparse_attention": _step_sparse_attention,
     "flash_attention": _step_flash_attention,

@@ -94,18 +94,15 @@ class Graphormer(Module):
         return h
 
     def _dense_bias(self, enc: GraphEncodings) -> Tensor | None:
-        """SPD bias as an (H, S, S) tensor for dense attention."""
+        """SPD bias as a contiguous (H, S, S) tensor for dense attention."""
         if enc.spd_buckets is None:
             return None
-        # gather the per-bucket scalars then move heads first
-        flat = F.embedding_lookup(self.spd_bias_table, enc.spd_buckets)  # (S,S,H)
-        return flat.transpose(2, 0, 1)
+        return F.head_major_lookup(self.spd_bias_table, enc.spd_buckets)
 
     def _sparse_bias(self, enc: GraphEncodings, pattern: AttentionPattern) -> Tensor:
         """SPD bias gathered at pattern entries, shape (H, E)."""
-        buckets = enc.spd_for_pattern(pattern)
-        vals = F.embedding_lookup(self.spd_bias_table, buckets)  # (E, H)
-        return vals.transpose(1, 0)
+        return F.head_major_lookup(self.spd_bias_table,
+                                   enc.spd_for_pattern(pattern))
 
     # ------------------------------------------------------------------ #
     def encode(self, features: np.ndarray, enc: GraphEncodings,

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor
+from .precision import apply_precision
+from .tensor import Tensor, get_precision
 
 __all__ = [
     "workspace_buffer",
@@ -25,6 +26,8 @@ __all__ = [
     "layer_norm_forward",
     "dropout",
     "embedding_lookup",
+    "head_major_lookup",
+    "head_major_lookup_forward",
     "cross_entropy",
     "binary_cross_entropy_with_logits",
     "l1_loss",
@@ -229,8 +232,8 @@ def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
     """Gather rows of ``table`` at integer ``indices`` (scatter-add bwd).
 
     The scatter-add is one ``np.bincount`` per table column: it sums in
-    index order like ``np.add.at`` (in float64), several times faster on
-    the (S·S, H) gradient of the dense SPD bias.
+    index order like ``np.add.at`` (in float64), several times faster
+    than it.
     """
     t = table
     idx = np.asarray(indices)
@@ -244,6 +247,55 @@ def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
                                     for c in cols], axis=1))
 
     return Tensor._make(t.data[idx], (t,), backward, op="embedding", indices=idx)
+
+
+def head_major_lookup_forward(table: np.ndarray, indices: np.ndarray,
+                              out: np.ndarray | None = None) -> np.ndarray:
+    """``table[indices]`` with its last axis moved first, written contiguously.
+
+    ``table`` is ``(B, H)``; the result is ``(H, *indices.shape)``.  One
+    ``np.take`` per head from the small transposed table, so no
+    ``(*indices.shape, H)`` array is built and then transposed.
+    """
+    rows = np.asarray(indices)
+    if rows.size and (rows.min() < 0 or rows.max() >= table.shape[0]):
+        raise IndexError(f"indices outside the {table.shape[0]}-row table")
+    rows = rows.astype(np.intp)  # once, not once per head
+    if out is None:
+        out = np.empty((table.shape[-1],) + rows.shape, table.dtype)
+    for h, col in enumerate(table.T):
+        # mode="clip" writes straight into out (valid indices clip to
+        # themselves); "raise" gathers into a temporary and copies
+        np.take(col, rows, out=out[h], mode="clip")
+    return out
+
+
+def head_major_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
+    """Per-head scalars of ``table (B, H)`` gathered head-major.
+
+    Returns a contiguous ``(H, *indices.shape)`` tensor, the layout
+    attention kernels add a bias in (Graphormer's SPD bias: ``(H, S, S)``
+    for dense attention, ``(H, E)`` per pattern entry).  Equal, bit for
+    bit and in the table gradient, to ``embedding_lookup(table,
+    indices)`` moved heads-first; the backward is one ``np.bincount`` per
+    head over that head's contiguous gradient, summing in the same index
+    order.  The tiny table is cast to the active precision before the
+    gather, which rounds each value exactly as casting the gathered
+    array would.
+    """
+    t = table
+    idx = np.asarray(indices)
+    data = head_major_lookup_forward(apply_precision(t.data, get_precision()), idx)
+
+    def backward(g):
+        if t.requires_grad:
+            flat = idx.reshape(-1).astype(np.intp)  # bincount casts per call
+            rows = t.data.shape[0]
+            t._accumulate(np.stack([
+                np.bincount(flat, weights=gh.reshape(-1), minlength=rows)
+                for gh in g], axis=1))
+
+    return Tensor._make(data, (t,), backward, op="head_lookup", indices=idx)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray,

@@ -197,6 +197,37 @@ class TestPredictEvaluate:
             s.predict(indices=s.dataset.test_idx),
             s.predict(indices=s.dataset.test_idx[::-1])[::-1])
 
+    def test_graph_evaluate_past_the_cache_cap_prepares_once(self, monkeypatch):
+        # more test graphs than Session._COMPILED_CAP: the split is one
+        # cache entry, so the second evaluate does not re-prepare
+        import repro.api.session as session_mod
+
+        cfg = RunConfig(
+            data=DataConfig("zinc", scale=0.2),
+            model=ModelConfig("graphormer-slim", num_layers=1, hidden_dim=8,
+                              num_heads=2, dropout=0.0),
+            engine=EngineConfig("gp-sparse"),
+            train=TrainConfig(epochs=1))
+        s = Session(cfg)
+        assert len(s.dataset.test_idx) == 11 > Session._COMPILED_CAP
+        calls, prepare = [], session_mod.prepare_inputs
+
+        def counting(*args, **kw):
+            calls.append(args)
+            return prepare(*args, **kw)
+
+        monkeypatch.setattr(session_mod, "prepare_inputs", counting)
+        first = s.evaluate("test")
+        assert len(calls) == 11
+        assert s.evaluate("test") == first
+        assert len(calls) == 11  # the second evaluate is all cache hits
+        # the set is the unit: any order or repeat of it reuses the entry
+        idx = s.dataset.test_idx
+        np.testing.assert_array_equal(s.predict(indices=idx[::-1]),
+                                      s.predict(indices=idx)[::-1])
+        s.predict(indices=np.concatenate([idx, idx[:2]]))
+        assert len(calls) == 11
+
     def test_node_task_rejects_graph_kwargs(self, fitted):
         with pytest.raises(ValueError, match="graph-level"):
             fitted.predict(indices=np.array([0]))

@@ -113,7 +113,7 @@ def test_embedding_backward_matches_add_at(shape):
 
 
 def test_embedding_backward_takes_a_transposed_gradient():
-    # the dense SPD bias hands back an (S, S, H) view of (H, S, S) memory
+    # a gradient handed back as an (S, S, H) view of (H, S, S) memory
     rng = np.random.default_rng(3)
     idx = rng.integers(0, 6, (7, 7))
     g = rng.standard_normal((2, 7, 7)).transpose(1, 2, 0)

@@ -132,3 +132,47 @@ def snapshot_with_append_inside(stats, settle_s=0.25):
     inside.set()  # a snapshot that never iterated must not strand the writer
     writer.join(timeout=60.0)
     return snap, errors, writer
+
+
+def dense_attention_untiled(q, k, v, g, bias=None, mask=None):
+    """Dense attention forward and backward as whole-array passes.
+
+    ``repro.attention.dense`` step for step, one pass over the full
+    (H, S, S) array per step, frozen as the bit-for-bit reference for any
+    re-blocking of that kernel (row tiles, a blocked kernel shared with
+    flash).  Returns ``(out, p, dq, dk, dv, dbias)`` for the output
+    gradient ``g``; ``dbias`` is None without a bias and is reduced over
+    heads for a ``(1, S, S)`` bias.
+    """
+    scale = 1.0 / float(np.sqrt(q.shape[-1]))
+    scores = np.matmul(q, k.swapaxes(-1, -2))
+    np.multiply(scores, scale, out=scores)
+    if bias is not None:
+        if np.result_type(scores.dtype, bias.dtype) == scores.dtype:
+            np.add(scores, bias, out=scores)
+        else:
+            scores = scores + bias
+    if mask is not None:
+        scores = np.where(mask[None, :, :], scores, -1e30)
+    mx = np.amax(scores, axis=-1, keepdims=True)
+    np.subtract(scores, mx, out=scores)
+    np.exp(scores, out=scores)
+    p = scores
+    if mask is not None:
+        p = p * mask[None, :, :]
+    np.sum(p, axis=-1, keepdims=True, out=mx)
+    np.maximum(mx, 1e-30, out=mx)
+    np.divide(p, mx, out=p)
+    out = np.matmul(p, v)
+    delta = np.einsum("hid,hid->hi", g, out)
+    ds = np.matmul(g, v.swapaxes(-1, -2))
+    np.subtract(ds, delta[:, :, None], out=ds)
+    np.multiply(ds, p, out=ds)
+    dbias = None
+    if bias is not None:
+        dbias = ds if bias.shape[0] == q.shape[0] else ds.sum(axis=0, keepdims=True)
+    return (out, p,
+            np.matmul(ds, k) * scale,
+            np.matmul(ds.swapaxes(-1, -2), q) * scale,
+            np.matmul(p.swapaxes(-1, -2), g),
+            dbias)
