@@ -75,8 +75,9 @@ class Session:
         # is a function of — (dataset fingerprint, graph_version,
         # node-set bytes or None for the full graph, engine state
         # fingerprint) → (ctx, enc, program, weight version the program
-        # was traced at); a requested set of collection graphs is one
-        # entry, ({graph index: (ctx, enc)}, None, None, None).  A
+        # was traced at); a graph collection's prepared graphs are one
+        # entry, slot "graphs" → ({graph index: (ctx, enc)}, None, None,
+        # None), which grows to at most the collection's size.  A
         # mutation moves a key component and clears nothing; stale
         # entries age out.  A traced-at of None means no
         # compile was attempted; a None program after an attempt records
@@ -414,31 +415,25 @@ class Session:
     def _predict_graphs(self, indices) -> np.ndarray:
         ds, engine, model = self.dataset, self.engine, self.model
         idx = np.arange(ds.num_graphs) if indices is None else np.asarray(indices)
-        # the requested set of graphs is one cache entry: an entry per
-        # graph lets a split of more than _COMPILED_CAP graphs evict its
-        # own first graphs before the next call reads them again
-        members = np.unique(idx)
-        key = self._cache_key(("graphs", members.tobytes()))
+        # one cache entry holds the collection's prepared graphs and each
+        # call adds only the graphs it is missing, so any subset, order or
+        # batch union reuses earlier prepares; an entry per graph let a
+        # split of more than _COMPILED_CAP graphs evict itself
+        key = self._cache_key("graphs")
+        entry = self._cache.get(key) or ({}, None, None, None)
+        self._remember(key, entry)
+        prepared = entry[0]
         model.eval()
         with precision_scope(engine.precision):
-            entry = self._cache.get(key)
-            if entry is None:
-                lap_pe_dim = self.config.train.lap_pe_dim
-                entry = ({int(i): prepare_inputs(engine, model, ds.graphs[i],
-                                                 lap_pe_dim, train=False)
-                          for i in members}, None, None, None)
-            self._remember(key, entry)
-            # the reference forward: no program is compiled per graph
             outs = []
-            for i in idx:
-                ctx, enc = entry[0][int(i)]
-                inv = ctx.node_permutation_inverse()
-                feats = ds.features[i]
-                with no_grad():
-                    out = planned_forward(model, engine, ctx,
-                                          feats[inv] if inv is not None else feats,
-                                          enc, train=False)
-                outs.append(out.data.reshape(-1))
+            for i in map(int, idx):
+                if i not in prepared:
+                    prepared[i] = prepare_inputs(engine, model, ds.graphs[i],
+                                                 self.config.train.lap_pe_dim,
+                                                 train=False)
+                # the reference forward: no program is compiled per graph
+                out, _inv = self._run_prepared(*prepared[i], ds.features[i])
+                outs.append(out.reshape(-1))
             return np.stack(outs)
 
     def _cache_key(self, slot) -> tuple:
@@ -465,40 +460,57 @@ class Session:
         graph on a miss.  Returns the output in the prepared node order
         and its inverse permutation.
         """
-        engine, model = self.engine, self.model
         key = self._cache_key(slot)
         entry = self._cache.get(key)
         if entry is None:
             # cluster reordering + pattern + ECR reformation and the
             # encodings dominate small-model inference cost
-            ctx, enc = prepare_inputs(engine, model, graph_of(),
+            ctx, enc = prepare_inputs(self.engine, self.model, graph_of(),
                                       self.config.train.lap_pe_dim,
                                       train=False)
             if slot is None:
                 self._stamp_context(ctx)
             entry = (ctx, enc, None, None)
-        ctx, enc, prog, traced_at = entry
+        self._remember(key, entry)
+        program = (lambda feats_in: self._program(key, feats_in)) if fused else None
+        return self._run_prepared(entry[0], entry[1], feats, program)
+
+    def _program(self, key, feats_in):
+        """Cache entry ``key``'s compiled program at the current weights.
+
+        Programs fold the weights as constants, so one traced at another
+        weight version is re-traced on ``feats_in``; ``None`` records a
+        fallback, which is not re-traced until the weights move.
+        """
+        engine, model = self.engine, self.model
+        ctx, enc, prog, traced_at = self._cache[key]
+        if traced_at == model.weight_version:
+            return prog
+
+        def ref_forward(f):
+            with no_grad():
+                return planned_forward(model, engine, ctx, f, enc, train=False)
+        prog = compile_plan(ref_forward, feats_in, engine.precision)
+        outcome = "compiled" if prog is not None else "fallback"
+        get_registry().counter(
+            "repro_backend_compile_total",
+            "compile attempts by outcome (compiled / fallback)",
+            labels=("outcome",)).inc(outcome=outcome)
+        self._cache[key] = (ctx, enc, prog, model.weight_version)
+        return prog
+
+    def _run_prepared(self, ctx, enc, feats, program=None):
+        """Permute ``feats`` into ``ctx``'s node order and forward them.
+
+        ``program(feats_in)``, when given, returns a compiled program to
+        replay (``None``: run the reference forward).  Returns the output
+        in the prepared node order and its inverse permutation.
+        """
         inv = ctx.node_permutation_inverse()
         # np.asarray materializes store-backed feature views; in-RAM
         # arrays pass through untouched
         feats_in = feats[inv] if inv is not None else np.asarray(feats)
-        if not fused:
-            prog = None
-        elif traced_at != model.weight_version:
-            # programs fold the weights as constants: replay only at
-            # the weight version they were traced at, else re-trace
-            def ref_forward(f):
-                with no_grad():
-                    return planned_forward(model, engine, ctx, f, enc,
-                                           train=False)
-            prog = compile_plan(ref_forward, feats_in, engine.precision)
-            outcome = "compiled" if prog is not None else "fallback"
-            get_registry().counter(
-                "repro_backend_compile_total",
-                "compile attempts by outcome (compiled / fallback)",
-                labels=("outcome",)).inc(outcome=outcome)
-            entry = (ctx, enc, prog, model.weight_version)
-        self._remember(key, entry)
+        prog = program(feats_in) if program is not None else None
         if prog is not None and prog.input_shape == feats_in.shape:
             tracer = get_tracer()
             if tracer.enabled and tracer.current() is not None:
@@ -507,8 +519,8 @@ class Session:
                     return prog.run(feats_in), inv
             return prog.run(feats_in), inv
         with no_grad():
-            out = planned_forward(model, engine, ctx, feats_in, enc,
-                                  train=False)
+            out = planned_forward(self.model, self.engine, ctx, feats_in,
+                                  enc, train=False)
         return out.data, inv
 
     # -- persistence ----------------------------------------------------- #

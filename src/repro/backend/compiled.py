@@ -141,6 +141,7 @@ def _step_embedding(srcs, st):
 
 
 def _step_head_lookup(srcs, st):
+    # the op checked its indices and cast them to intp once, when traced
     out = _buf(st.ws, "nat", st.out_shape, srcs[0].dtype)
     return head_major_lookup_forward(srcs[0], st.params["indices"], out=out)
 

@@ -249,18 +249,16 @@ def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
     return Tensor._make(t.data[idx], (t,), backward, op="embedding", indices=idx)
 
 
-def head_major_lookup_forward(table: np.ndarray, indices: np.ndarray,
+def head_major_lookup_forward(table: np.ndarray, rows: np.ndarray,
                               out: np.ndarray | None = None) -> np.ndarray:
-    """``table[indices]`` with its last axis moved first, written contiguously.
+    """``table[rows]`` with its last axis moved first, written contiguously.
 
-    ``table`` is ``(B, H)``; the result is ``(H, *indices.shape)``.  One
+    ``table`` is ``(B, H)``; the result is ``(H, *rows.shape)``.  One
     ``np.take`` per head from the small transposed table, so no
-    ``(*indices.shape, H)`` array is built and then transposed.
+    ``(*rows.shape, H)`` array is built and then transposed.  ``rows``
+    must be in-range ``intp`` indices (:func:`head_major_lookup` checks
+    and casts them once, and a compiled replay reuses them).
     """
-    rows = np.asarray(indices)
-    if rows.size and (rows.min() < 0 or rows.max() >= table.shape[0]):
-        raise IndexError(f"indices outside the {table.shape[0]}-row table")
-    rows = rows.astype(np.intp)  # once, not once per head
     if out is None:
         out = np.empty((table.shape[-1],) + rows.shape, table.dtype)
     for h, col in enumerate(table.T):
@@ -281,21 +279,25 @@ def head_major_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
     head over that head's contiguous gradient, summing in the same index
     order.  The tiny table is cast to the active precision before the
     gather, which rounds each value exactly as casting the gathered
-    array would.
+    array would.  Out-of-table indices raise ``IndexError``, as a fancy
+    index would.
     """
     t = table
-    idx = np.asarray(indices)
-    data = head_major_lookup_forward(apply_precision(t.data, get_precision()), idx)
+    rows = np.asarray(indices)
+    if rows.size and (rows.min() < 0 or rows.max() >= t.data.shape[0]):
+        raise IndexError(f"indices outside the {t.data.shape[0]}-row table")
+    # cast once for the gather, the backward's bincounts and any replay
+    rows = rows.astype(np.intp)
+    data = head_major_lookup_forward(apply_precision(t.data, get_precision()), rows)
 
     def backward(g):
         if t.requires_grad:
-            flat = idx.reshape(-1).astype(np.intp)  # bincount casts per call
-            rows = t.data.shape[0]
+            flat, n = rows.reshape(-1), t.data.shape[0]
             t._accumulate(np.stack([
-                np.bincount(flat, weights=gh.reshape(-1), minlength=rows)
+                np.bincount(flat, weights=gh.reshape(-1), minlength=n)
                 for gh in g], axis=1))
 
-    return Tensor._make(data, (t,), backward, op="head_lookup", indices=idx)
+    return Tensor._make(data, (t,), backward, op="head_lookup", indices=rows)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray,

@@ -198,8 +198,8 @@ class TestPredictEvaluate:
             s.predict(indices=s.dataset.test_idx[::-1])[::-1])
 
     def test_graph_evaluate_past_the_cache_cap_prepares_once(self, monkeypatch):
-        # more test graphs than Session._COMPILED_CAP: the split is one
-        # cache entry, so the second evaluate does not re-prepare
+        # more test graphs than Session._COMPILED_CAP: the collection is
+        # one cache entry, so the second evaluate does not re-prepare
         import repro.api.session as session_mod
 
         cfg = RunConfig(
@@ -221,12 +221,41 @@ class TestPredictEvaluate:
         assert len(calls) == 11
         assert s.evaluate("test") == first
         assert len(calls) == 11  # the second evaluate is all cache hits
-        # the set is the unit: any order or repeat of it reuses the entry
+        # any order, repeat or subset of prepared graphs reuses them
         idx = s.dataset.test_idx
         np.testing.assert_array_equal(s.predict(indices=idx[::-1]),
                                       s.predict(indices=idx)[::-1])
         s.predict(indices=np.concatenate([idx, idx[:2]]))
+        s.predict(indices=idx[3:7])
         assert len(calls) == 11
+
+    def test_graph_batch_unions_prepare_each_graph_once(self, monkeypatch):
+        # a serving micro-batch predicts the union of its requests' graphs;
+        # overlapping unions prepare only the graphs not seen before
+        import repro.api.session as session_mod
+
+        s = Session(RunConfig(
+            data=DataConfig("zinc", scale=0.2),
+            model=ModelConfig("graphormer-slim", num_layers=1, hidden_dim=8,
+                              num_heads=2, dropout=0.0),
+            engine=EngineConfig("gp-sparse"),
+            train=TrainConfig(epochs=1)))
+        calls, prepare = [], session_mod.prepare_inputs
+
+        def counting(*args, **kw):
+            calls.append(args)
+            return prepare(*args, **kw)
+
+        monkeypatch.setattr(session_mod, "prepare_inputs", counting)
+        seen = set()
+        for union in ([0, 1], [1, 2, 3], [0, 3, 4, 5], [2, 5], [6, 7, 0, 1],
+                      [4, 6], [8, 9], [3, 8, 10], [0, 10, 11]):
+            out = s.predict(indices=np.array(union))
+            seen.update(union)
+            assert len(calls) == len(seen)
+            for row, i in zip(out, union):
+                np.testing.assert_array_equal(
+                    row, s.predict(indices=np.array([i]))[0])
 
     def test_node_task_rejects_graph_kwargs(self, fitted):
         with pytest.raises(ValueError, match="graph-level"):

@@ -1,15 +1,15 @@
 """The dense kernel's bits, held to whole-array passes.
 
-``tests.helpers.dense_attention_untiled`` is the dense kernel written as
-one pass over the full (H, S, S) array per step.  Any re-blocking of
-``attention/dense.py`` (row tiles, a blocked kernel shared with flash)
-must keep out, P, dQ, dK, dV and a bias gradient accumulated over three
-calls, as one bias is across Graphormer's layers, equal to it bit for
-bit.  Row-block GEMMs are what such a change can get wrong: this
-OpenBLAS build rounds a row block of a float64 product differently from
-the same rows of the whole product at S = 300, 353 and 500, and numpy
-sends a one-row block to GEMV.  The grid takes sequence lengths around
-a tile of 8 rows, and S = 300.
+``attention/dense.py`` runs each softmax and dS step as one pass over the
+full (H, S, S) array; ``tests.helpers.dense_attention_whole_array`` is
+that kernel frozen.  Any re-blocking of it (row tiles, a blocked kernel
+shared with flash) must keep out, P, dQ, dK, dV and a bias gradient
+accumulated over three calls, as one bias is across Graphormer's layers,
+equal to it bit for bit.  Row-block GEMMs are what such a change can get
+wrong: the OpenBLAS build of ``PARENT_BLAS`` rounds a row block of a
+float64 product differently from the same rows of the whole product at
+S = 300, 353 and 500, and numpy sends a one-row block to GEMV.  The grid
+takes sequence lengths around a tile of 8 rows, and S = 300.
 """
 
 import numpy as np
@@ -21,7 +21,7 @@ from repro.attention.dense import dense_attention_forward
 from repro.tensor import Tensor, precision_scope
 from tests.api.test_prepare_inputs import PARENT_BLAS, _blas_fingerprint
 from tests.attention.test_gemm_contractions import DTYPE, RTOL
-from tests.helpers import dense_attention_untiled
+from tests.helpers import dense_attention_whole_array
 
 T, DH = 8, 4
 # 300: a length at which this build's float64 GEMM rounds row blocks apart
@@ -57,7 +57,7 @@ def test_dense_kernel_matches_the_whole_array_passes(seq, heads, prec, kind, see
             q, k, v, g = (rng.standard_normal((heads, s, DH)).astype(dtype)
                           for _ in range(4))
             mask = rng.random((s, s)) < 0.6 if kind == "mask" else None
-            want = dense_attention_untiled(q, k, v, g, bias=bias_data, mask=mask)
+            want = dense_attention_whole_array(q, k, v, g, bias=bias_data, mask=mask)
             for got, ref in zip(dense_attention_forward(q, k, v, bias=bias_data,
                                                         mask=mask), want[:2]):
                 _same(got, ref, prec)

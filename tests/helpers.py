@@ -134,7 +134,7 @@ def snapshot_with_append_inside(stats, settle_s=0.25):
     return snap, errors, writer
 
 
-def dense_attention_untiled(q, k, v, g, bias=None, mask=None):
+def dense_attention_whole_array(q, k, v, g, bias=None, mask=None):
     """Dense attention forward and backward as whole-array passes.
 
     ``repro.attention.dense`` step for step, one pass over the full

@@ -66,6 +66,8 @@ def test_lowered_step_matches_the_reference():
         prog = compile_plan(forward, feats, "fp32")
         assert prog is not None
         assert [st.op for st in prog._steps] == ["mul", "head_lookup"]
+        # checked and cast once when traced: the replay only gathers
+        assert prog._steps[1].params["indices"].dtype == np.intp
         f = feats * -1.5
         assert np.array_equal(prog.run(f), forward(f).data)
 
