@@ -12,13 +12,18 @@ Vectorization strategy (no Python loop over edges):
 * row-wise softmax via ``np.maximum.reduceat`` / segment sums over the CSR
   row pointer;
 * the weighted aggregation and all matrix-shaped backward products via
-  per-head ``scipy.sparse`` CSR matmuls, which are C-speed.
+  scipy's C sparsetools CSR routine, per head, without building a
+  ``csr_matrix``.
 
 All pattern-derived state — the expanded row index, segment boundaries,
 int32 CSR index arrays, the transpose permutation — comes from a
 :class:`~repro.attention.workspace.PatternWorkspace`, memoized per pattern
 so repeated forwards across layers/iterations skip the reconstruction
-entirely (see :mod:`repro.attention.workspace`).
+entirely (see :mod:`repro.attention.workspace`).  Every temporary comes
+from the calling thread's scratch arena (one per thread, shared by all
+patterns), so a warm call on the same pattern allocates only the arrays that escape it: ``out`` and ``P`` in the
+forward, nothing in the backward beyond what ``Tensor._accumulate``
+copies into ``.grad``.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ from ..tensor.functional import workspace_buffer as _buf
 from .patterns import AttentionPattern
 from .registry import register_kernel
 from .stats import AttentionStats, collector
-from .workspace import PatternWorkspace, get_workspace, segment_reduce_core
+from .workspace import (PatternWorkspace, get_workspace, scratch_arena,
+                        segment_reduce_core)
 
 __all__ = ["sparse_attention", "sparse_attention_forward", "segment_softmax"]
 
@@ -89,30 +95,34 @@ def sparse_attention_forward(
     """Forward-only pattern-restricted attention on raw arrays.
 
     Returns ``(out, p)``; shared by :func:`sparse_attention` and the
-    compiled backend.  With a workspace dict the gathered Q/K copies and
-    the per-entry score vector become persistent buffers.
+    compiled backend.  The gathered Q/K copies and the scores live in
+    the calling thread's scratch arena.  Without a workspace
+    dict ``out`` and ``p`` are fresh, since the autograd op keeps both;
+    with one ``out`` persists in it and ``p`` is arena scratch too.
     """
     H, S, dh = qd.shape
     if scale is None:
         scale = 1.0 / float(np.sqrt(dh))
-    rows, cols = pattern_ws.rows, pattern_ws.cols
+    arena = scratch_arena()
     E = pattern_ws.num_entries
-    qg = _buf(ws, "sp_qg", (H, E, dh), qd.dtype)
-    kg = _buf(ws, "sp_kg", (H, E, dh), kd.dtype)
-    np.take(qd, rows, axis=1, out=qg)
-    np.take(kd, cols, axis=1, out=kg)
-    scores = _buf(ws, "sp_scores", (H, E), np.result_type(qd, kd))
+    qg = _buf(arena, "qg", (H, E, dh), qd.dtype)
+    kg = _buf(arena, "kg", (H, E, dh), kd.dtype)
+    # clip mode writes straight into the buffer (the pattern's indices
+    # are in range); "raise" gathers into a temporary and copies
+    np.take(qd, pattern_ws.rows, axis=1, out=qg, mode="clip")
+    np.take(kd, pattern_ws.cols, axis=1, out=kg, mode="clip")
+    scores = _buf(arena, "scores", (H, E), np.result_type(qd, kd))
     np.einsum("hed,hed->he", qg, kg, out=scores)
     np.multiply(scores, scale, out=scores)
     if bias is not None:
-        if np.result_type(scores.dtype, bias.dtype) == scores.dtype:
-            np.add(scores, bias, out=scores)
-        else:
-            scores = scores + bias
-    p = pattern_ws.segment_softmax(scores)  # (H, E)
-    out = _buf(ws, "sp_out", qd.shape, qd.dtype)
-    for h in range(H):
-        out[h] = pattern_ws.matmul(p[h], vd[h])
+        dtype = np.result_type(scores, bias)
+        biased = scores if dtype == scores.dtype \
+            else _buf(arena, "biased", (H, E), dtype)
+        scores = np.add(scores, bias, out=biased)
+    p = None if ws is None else _buf(arena, "p", (H, E),
+                                     np.result_type(scores, np.float64))
+    p = pattern_ws.segment_softmax(scores, p)
+    out = pattern_ws.matmul(p, vd, _buf(ws, "sp_out", qd.shape, qd.dtype))
     return out, p
 
 
@@ -140,8 +150,6 @@ def sparse_attention(
         scale = 1.0 / float(np.sqrt(dh))
 
     ws = workspace if workspace is not None else get_workspace(pattern)
-    rows = ws.rows
-    cols = ws.cols
     E = ws.num_entries
 
     parents: list[Tensor] = [q, k, v]
@@ -152,32 +160,38 @@ def sparse_attention(
         bias=bias.data if bias is not None else None, scale=scale)
 
     def backward(g):
+        # Every gradient below is arena scratch: Tensor._accumulate
+        # copies or adds it into .grad and never keeps the array.
+        arena = scratch_arena()
         # dV_h = A_hᵀ dO_h
         if v.requires_grad:
-            dv = np.empty_like(v.data)
-            for h in range(H):
-                dv[h] = ws.matmul_t(p[h], g[h])
-            v._accumulate(dv)
+            v._accumulate(ws.matmul(
+                p, g, _buf(arena, "grad", v.shape, v.data.dtype), transpose=True))
         # d p_e = dO[row_e] · V[col_e]
-        dp = np.einsum("hed,hed->he", g[:, rows, :], v.data[:, cols, :])
-        # softmax backward per row segment
-        dot = ws.segment_sum(dp * p)  # (H, S)
-        ds = p * (dp - dot[:, rows])  # (H, E)
+        gg = _buf(arena, "qg", (H, E, dh), g.dtype)
+        vg = _buf(arena, "kg", (H, E, dh), v.data.dtype)
+        np.take(g, ws.rows, axis=1, out=gg, mode="clip")
+        np.take(v.data, ws.cols, axis=1, out=vg, mode="clip")
+        dp = _buf(arena, "scores", (H, E), np.result_type(g, v.data))
+        np.einsum("hed,hed->he", gg, vg, out=dp)
+        # softmax backward per row segment: ds = p ∘ (dp − Σ_row dp ∘ p),
+        # in one (H, E) buffer
+        ds = _buf(arena, "seg_rows", (H, E), np.result_type(dp, p))
+        np.multiply(dp, p, out=ds)
+        ws.gather_rows(ws.segment_sum(ds), out=ds)
+        np.subtract(dp, ds, out=ds)
+        np.multiply(p, ds, out=ds)
         if bias is not None and bias.requires_grad:
-            gb = ds if bias.data.shape[0] == H else ds.sum(axis=0, keepdims=True)
-            bias._accumulate(gb)
-        if q.requires_grad or k.requires_grad:
-            dq = np.zeros_like(q.data) if q.requires_grad else None
-            dk = np.zeros_like(k.data) if k.requires_grad else None
-            for h in range(H):
-                if dq is not None:
-                    dq[h] = ws.matmul(ds[h], k.data[h]) * scale
-                if dk is not None:
-                    dk[h] = ws.matmul_t(ds[h], q.data[h]) * scale
-            if dq is not None:
-                q._accumulate(dq)
-            if dk is not None:
-                k._accumulate(dk)
+            bias._accumulate(ds if bias.data.shape[0] == H
+                             else ds.sum(axis=0, keepdims=True))
+        if q.requires_grad:
+            q._accumulate(ws.matmul(
+                ds, k.data, _buf(arena, "grad", q.shape, q.data.dtype),
+                scale=scale))
+        if k.requires_grad:
+            k._accumulate(ws.matmul(
+                ds, q.data, _buf(arena, "grad", k.shape, k.data.dtype),
+                transpose=True, scale=scale))
 
     itemsize = q.data.itemsize
     collector.add(AttentionStats(

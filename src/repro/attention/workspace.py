@@ -6,9 +6,8 @@ Q/K/V at all:
 
 * the expanded per-entry row index (``np.repeat`` over the CSR indptr);
 * the non-empty segment starts the ``reduceat``-based row softmax uses;
-* ``int32`` copies of the CSR index arrays (scipy's native index dtype —
-  passing int64 makes every ``csr_matrix`` construction downcast-copy
-  O(E) per head per call);
+* ``int32`` copies of the CSR index arrays (scipy's native index dtype,
+  which its sparsetools products take as they are);
 * the transpose structure (indptr/indices of Aᵀ plus the entry
   permutation) used by the backward pass's ``Aᵀ @ G`` products.
 
@@ -22,10 +21,23 @@ workspace is built anew, and the stale workspace dies with the old
 pattern.  :func:`invalidate_workspace` drops a workspace explicitly (for
 callers that mutate a pattern in place — none in-tree do).
 
+**The arena.**  The sparse kernel's scratch buffers — the (H, E, d) Q/K
+and dO/V gathers, the scores, the softmax's gathered row max and
+denominator, the upcast dense operand, the permuted transpose data, the
+float64 accumulator and the dV/dQ/dK staging — live in one
+``workspace_buffer`` dict per thread (:func:`scratch_arena`), shared by
+every pattern.  Only the arrays that escape a call are allocated by it:
+the forward's ``out`` and ``P`` (the tensor's data, and what the backward
+keeps).  A buffer is reallocated only when its shape or dtype changes, so
+a run over one pattern (node-level training, warm full-graph serving)
+allocates nothing else, and a run over many (graph-level training, a
+graph collection's predicts) holds one set, the last pattern's, instead
+of one per pattern.  Per thread, because a serving thread and its caller
+can run the kernel at the same time.
+
 Caching is process-global and can be toggled (``set_workspace_caching`` /
 the ``workspace_caching`` context manager) — the disabled path builds a
-fresh workspace per call and runs the *identical* code, so outputs are
-bitwise identical with the cache on or off.
+fresh workspace per call and runs the *identical* code, so outputs are bitwise identical with the cache on or off.
 
 **Targeted invalidation** (streaming graph updates): every pattern with
 a cached workspace is tracked in a weak registry, and callers that know
@@ -41,13 +53,15 @@ re-warm of every cached workspace in the process.
 
 from __future__ import annotations
 
+import threading
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
+from ..tensor.functional import workspace_buffer as _buf
 from .patterns import AttentionPattern
 
 __all__ = [
@@ -63,6 +77,7 @@ __all__ = [
     "set_workspace_caching",
     "workspace_caching_enabled",
     "workspace_caching",
+    "scratch_arena",
 ]
 
 _WORKSPACE_ATTR = "_cached_workspace"
@@ -123,6 +138,24 @@ def _obs_targeted():
         labels=("outcome",))
 
 
+_arena = threading.local()
+
+
+def scratch_arena() -> dict:
+    """The calling thread's sparse-kernel scratch buffers.
+
+    A ``workspace_buffer`` dict keyed by buffer name: the kernel's
+    temporaries live here across calls, so a warm call allocates only the
+    arrays that escape it.  One per thread, whatever the pattern, so the
+    retained memory is one set of buffers per thread.
+    """
+    try:
+        return _arena.bufs
+    except AttributeError:
+        bufs = _arena.bufs = {}
+        return bufs
+
+
 def segment_reduce_core(values: np.ndarray, ufunc, empty_val: float,
                         counts: np.ndarray, nonempty: np.ndarray,
                         starts_ne: np.ndarray) -> np.ndarray:
@@ -136,6 +169,8 @@ def segment_reduce_core(values: np.ndarray, ufunc, empty_val: float,
     is needed — clamping would silently truncate the last non-empty
     segment when trailing rows are empty.  Empty rows get ``empty_val``.
     """
+    # np.full's default dtype: the row softmax of fp32 scores runs in
+    # float64, and a float32 one would move every sparse digest
     out = np.full(values.shape[:-1] + (len(counts),), empty_val)
     if values.shape[-1] and len(starts_ne):
         out[..., nonempty] = ufunc.reduceat(values, starts_ne, axis=-1)
@@ -151,18 +186,19 @@ class PatternWorkspace:
 
     __slots__ = ("seq_len", "num_entries", "indptr", "cols", "rows",
                  "indptr_ix", "cols_ix", "counts", "nonempty", "starts_ne",
-                 "_shape", "_t_struct")
+                 "_t_struct")
 
     def __init__(self, pattern: AttentionPattern):
         indptr = np.asarray(pattern.indptr)
-        cols = np.asarray(pattern.cols)
+        # intp, so the clip-mode gathers index with it as it is
+        cols = np.asarray(pattern.cols, dtype=np.intp)
         S = pattern.seq_len
         self.seq_len = S
         self.num_entries = int(len(cols))
         self.indptr = indptr
         self.cols = cols
         self.counts = np.diff(indptr)
-        self.rows = np.repeat(np.arange(S, dtype=np.int64), self.counts)
+        self.rows = np.repeat(np.arange(S, dtype=np.intp), self.counts)
         self.nonempty = self.counts > 0
         self.starts_ne = indptr[:-1][self.nonempty]
         # scipy's native index dtype: int32 unless the pattern overflows it
@@ -170,7 +206,6 @@ class PatternWorkspace:
             else np.int64
         self.indptr_ix = indptr.astype(ix, copy=False)
         self.cols_ix = cols.astype(ix, copy=False)
-        self._shape = (S, S)
         self._t_struct = None
 
     # ------------------------------------------------------------------ #
@@ -188,26 +223,35 @@ class PatternWorkspace:
     def segment_sum(self, values: np.ndarray) -> np.ndarray:
         return self.segment_reduce(values, np.add, 0.0)
 
-    def segment_softmax(self, scores: np.ndarray) -> np.ndarray:
-        """Row-segment softmax of entry scores shaped ``(..., E)``."""
-        rows = self.rows
+    def gather_rows(self, per_row: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``per_row[..., rows]`` written into ``out`` (shape ``(..., E)``)."""
+        # clip mode writes straight into out (the row index is in range);
+        # "raise" gathers into a temporary and copies
+        return np.take(per_row, self.rows, axis=-1, out=out, mode="clip")
+
+    def segment_softmax(self, scores: np.ndarray,
+                        out: np.ndarray | None = None) -> np.ndarray:
+        """Row-segment softmax of entry scores shaped ``(..., E)``.
+
+        Computed in the row reductions' float64 (``np.full``'s default
+        dtype) whatever the scores' dtype, and written to ``out`` (fresh
+        when omitted); the gathered row max and denominator use one
+        arena buffer.
+        """
         row_max = self.segment_max(scores)
-        e = np.exp(scores - row_max[..., rows])
-        denom = self.segment_sum(e)
-        return e / np.maximum(denom[..., rows], 1e-30)
+        if out is None:
+            out = np.empty(scores.shape, np.result_type(scores, row_max))
+        g = self.gather_rows(
+            row_max, _buf(scratch_arena(), "seg_rows", scores.shape, row_max.dtype))
+        np.subtract(scores, g, out=out)
+        np.exp(out, out=out)
+        self.gather_rows(self.segment_sum(out), out=g)
+        np.maximum(g, 1e-30, out=g)
+        return np.divide(out, g, out=out)
 
     # ------------------------------------------------------------------ #
     # CSR matmuls with cached structure
     # ------------------------------------------------------------------ #
-    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
-        """The S×S CSR matrix with this pattern's structure and ``data``."""
-        return sp.csr_matrix((data, self.cols_ix, self.indptr_ix),
-                             shape=self._shape, copy=False)
-
-    def matmul(self, data: np.ndarray, dense: np.ndarray) -> np.ndarray:
-        """``A @ dense`` for A = CSR(pattern structure, data)."""
-        return self.matrix(data) @ dense
-
     @property
     def transpose_struct(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(t_indptr, t_cols, perm)`` such that Aᵀ = CSR(data[perm], …).
@@ -226,12 +270,52 @@ class PatternWorkspace:
             self._t_struct = (t_indptr, t_cols, perm)
         return self._t_struct
 
-    def matmul_t(self, data: np.ndarray, dense: np.ndarray) -> np.ndarray:
-        """``Aᵀ @ dense`` via the cached transpose permutation."""
-        t_indptr, t_cols, perm = self.transpose_struct
-        at = sp.csr_matrix((data[perm], t_cols, t_indptr),
-                           shape=self._shape, copy=False)
-        return at @ dense
+    def matmul(self, data: np.ndarray, dense: np.ndarray,
+               out: np.ndarray | None = None, *, transpose: bool = False,
+               scale: float | None = None) -> np.ndarray:
+        """``A_h @ dense_h`` per head, A_h = CSR(pattern structure, data_h).
+
+        ``data`` is ``(H, E)`` and ``dense`` ``(H, S, d)``.
+        ``transpose`` multiplies by Aᵀ through the cached transpose
+        permutation.  The arithmetic is scipy's ``csr_matrix @ dense``
+        (private ``_sparsetools``, verified on scipy 1.17.1):
+        the same sparsetools routine accumulating into zeros of
+        ``result_type(data, dense)``, then ``* scale``, then a cast into
+        ``out`` (fresh, in that result type, when omitted).  No matrix
+        object is built, and the upcast dense operand, the permuted data
+        and the accumulator come from the arena.
+        """
+        arena = scratch_arena()
+        acc_dtype = np.result_type(data, dense)
+        if transpose:
+            indptr, indices, perm = self.transpose_struct
+            data = np.take(data, perm, axis=-1, mode="clip",
+                           out=_buf(arena, "mm_data", data.shape, data.dtype))
+        else:
+            indptr, indices = self.indptr_ix, self.cols_ix
+        if dense.dtype != acc_dtype or not dense.flags.c_contiguous:
+            up = _buf(arena, "mm_dense", dense.shape, acc_dtype)
+            np.copyto(up, dense)
+            dense = up
+        if out is None:
+            out = np.empty(dense.shape, acc_dtype)
+        acc = out if out.dtype == acc_dtype and out.flags.c_contiguous \
+            else _buf(arena, "mm_acc", out.shape, acc_dtype)
+        acc.fill(0)
+        S, d = dense.shape[1:]
+        for h in range(len(data)):
+            # scipy's dispatch: one vector goes to csr_matvec
+            if d == 1:
+                _sparsetools.csr_matvec(S, S, indptr, indices, data[h],
+                                        dense[h].ravel(), acc[h].ravel())
+            else:
+                _sparsetools.csr_matvecs(S, S, d, indptr, indices, data[h],
+                                         dense[h].ravel(), acc[h].ravel())
+        if scale is not None:
+            np.multiply(acc, scale, out=out, casting="unsafe")
+        elif acc is not out:
+            np.copyto(out, acc, casting="unsafe")
+        return out
 
 
 # ------------------------------------------------------------------ #

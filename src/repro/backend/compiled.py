@@ -154,6 +154,8 @@ def _step_dense_attention(srcs, st):
 
 
 def _step_sparse_attention(srcs, st):
+    # st.ws keeps only the output; the gathers, scores and P come from the
+    # thread's scratch arena, so the fused layers share one set
     bias = srcs[3] if st.params["has_bias"] else None
     out, _p = sparse_attention_forward(
         srcs[0], srcs[1], srcs[2], st.params["pattern_ws"], bias=bias,

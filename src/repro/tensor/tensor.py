@@ -213,7 +213,11 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        """Add ``grad`` into this tensor's gradient buffer (in place)."""
+        """Add ``grad`` into this tensor's gradient buffer (in place).
+
+        Copies or adds ``grad`` and never keeps the array: the sparse
+        attention backward passes scratch buffers it reuses.
+        """
         grad = np.asarray(grad, dtype=self.data.dtype if self.data.dtype.kind == "f" else np.float64)
         if grad.shape != self.data.shape:
             grad = unbroadcast(grad, self.data.shape)

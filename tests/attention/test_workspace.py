@@ -87,9 +87,11 @@ class TestWorkspaceDerivedState:
         dense = rng.standard_normal((pattern.seq_len, DH))
         ref = sp.csr_matrix((data, pattern.cols, pattern.indptr),
                             shape=(pattern.seq_len,) * 2)
-        np.testing.assert_allclose(ws.matmul(data, dense), ref @ dense)
-        np.testing.assert_allclose(ws.matmul_t(data, dense), ref.T @ dense,
-                                   atol=1e-12)
+        np.testing.assert_allclose(ws.matmul(data[None], dense[None])[0],
+                                   ref @ dense)
+        np.testing.assert_allclose(
+            ws.matmul(data[None], dense[None], transpose=True)[0], ref.T @ dense,
+            atol=1e-12)
 
     def test_transpose_struct_is_lazy_and_cached(self, pattern):
         ws = PatternWorkspace(pattern)

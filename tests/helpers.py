@@ -176,3 +176,61 @@ def dense_attention_whole_array(q, k, v, g, bias=None, mask=None):
             np.matmul(ds.swapaxes(-1, -2), q) * scale,
             np.matmul(p.swapaxes(-1, -2), g),
             dbias)
+
+
+def sparse_attention_csr_per_head(q, k, v, g, indptr, cols, bias=None):
+    """Sparse (pattern-restricted) attention forward and backward, with a
+    fresh ``scipy.sparse.csr_matrix`` for every per-head product.
+
+    ``repro.attention.sparse`` as it was before its temporaries moved
+    into a scratch arena: fancy-index gathers, the row softmax in the
+    float64 of ``np.full``, and ``csr_matrix @ dense`` (Aᵀ through
+    ``.T.tocsr()``) cast into the input dtype.  Frozen as the bit-for-bit
+    reference.  Returns ``(out, p, dq, dk, dv, dbias)`` for the output
+    gradient ``g``; ``dbias`` is float64, None without a bias and summed
+    over heads for a ``(1, E)`` bias.
+    """
+    import scipy.sparse as sp
+
+    H, S, dh = q.shape
+    scale = 1.0 / float(np.sqrt(dh))
+    indptr = np.asarray(indptr)
+    counts = np.diff(indptr)
+    rows = np.repeat(np.arange(S), counts)
+    nonempty = counts > 0
+
+    def seg(values, ufunc, empty_val):
+        red = np.full(values.shape[:-1] + (S,), empty_val)
+        if values.shape[-1] and nonempty.any():
+            red[..., nonempty] = ufunc.reduceat(
+                values, indptr[:-1][nonempty], axis=-1)
+        return red
+
+    def csr(data):
+        return sp.csr_matrix((data, cols.astype(np.int32), indptr.astype(np.int32)),
+                             shape=(S, S))
+
+    def per_head(data, dense, out_dtype, transpose=False, mul=None):
+        res = np.empty(dense.shape, out_dtype)
+        for h in range(H):
+            a = csr(data[h]).T.tocsr() if transpose else csr(data[h])
+            prod = a @ dense[h]
+            res[h] = prod if mul is None else prod * mul
+        return res
+
+    scores = np.einsum("hed,hed->he", q[:, rows, :], k[:, cols, :]) * scale
+    if bias is not None:
+        scores = scores + bias
+    e = np.exp(scores - seg(scores, np.maximum, -np.inf)[..., rows])
+    p = e / np.maximum(seg(e, np.add, 0.0)[..., rows], 1e-30)
+    out = per_head(p, v, q.dtype)
+    dp = np.einsum("hed,hed->he", g[:, rows, :], v[:, cols, :])
+    ds = p * (dp - seg(dp * p, np.add, 0.0)[:, rows])
+    dbias = None
+    if bias is not None:
+        dbias = ds if bias.shape[0] == H else ds.sum(axis=0, keepdims=True)
+    return (out, p,
+            per_head(ds, k, q.dtype, mul=scale),
+            per_head(ds, q, k.dtype, transpose=True, mul=scale),
+            per_head(p, g, v.dtype, transpose=True),
+            dbias)
