@@ -66,7 +66,7 @@ class DataConfig:
 
     @property
     def task_kind(self) -> str:
-        """``"node"`` or ``"graph"`` — which trainer family applies."""
+        """``"node"`` or ``"graph"`` — which training task family applies."""
         from ..graph import available_datasets
 
         return "node" if self.name in available_datasets()["node"] else "graph"
@@ -204,13 +204,6 @@ class RunConfig:
             _require(self.train.seq_len is None,
                      "seq_len (sampled sequences) applies to node-level "
                      "datasets only")
-            _require(self.train.eval_every == 1,
-                     "eval_every != 1 is not supported for graph-level "
-                     "datasets (they evaluate every epoch)")
-        if self.train.seq_len is not None:
-            _require(self.train.eval_every == 1,
-                     "eval_every != 1 is not supported with seq_len (the "
-                     "batched trainer evaluates every epoch)")
 
     # -- serialization -------------------------------------------------- #
     def to_dict(self) -> dict[str, Any]:

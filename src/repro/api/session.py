@@ -11,9 +11,10 @@ free functions with long keyword lists.  A ``Session`` takes one
 >>> s.save_config("run.json")       # replay later: Session.from_config_file
 
 Dataset, model and engine are built lazily (and exactly once) from the
-config; ``fit()`` runs the matching trainer (full-graph, sampled-sequence
-or graph-level) with the config's seed threaded through model init,
-engine randomness and training noise; ``evaluate()`` scores a split;
+config; ``fit()`` runs the matching training task (full-graph,
+sampled-sequence or graph-level) under the one epoch loop, with the
+config's seed threaded through model init, engine randomness and
+training noise; ``evaluate()`` scores a split;
 ``predict()`` is the inference entry point — batched logits over node
 subsets or per-graph outputs.  Callbacks passed to ``fit()`` receive the
 :mod:`repro.train.callbacks` hooks (``on_epoch_end``, ``on_reform``, …).
@@ -40,10 +41,10 @@ from ..train import (
     batched_node_predictions,
     planned_forward,
     prepare_inputs,
-    train_graph_task,
-    train_node_classification,
-    train_node_classification_batched,
+    run_epochs,
 )
+from ..train.batching import SampledSequenceTask
+from ..train.trainer import FullGraphTask, GraphTask
 from ..train.metrics import accuracy, mae
 from .config import RunConfig
 
@@ -187,31 +188,22 @@ class Session:
         """
         c, t = self.config, self.config.train
         ds, model, engine = self.dataset, self.model, self.engine
+        if c.data.task_kind == "graph":
+            task = GraphTask(model, ds, engine, t.lap_pe_dim)
+        elif t.seq_len is not None:
+            task = SampledSequenceTask(model, ds, engine, t.seq_len,
+                                       t.lap_pe_dim, seed=c.seed)
+        else:
+            task = FullGraphTask(model, ds, engine, t.lap_pe_dim)
         # refuses apply_delta and keeps mid-fit predicts off the fused
         # backend; tuner and weight moves reach the cache through its key
         self._fitting = True
         try:
-            persist = dict(checkpoint_path=checkpoint_path,
-                           resume_path=resume_path)
-            if c.data.task_kind == "graph":
-                self.record = train_graph_task(
-                    model, ds, engine, epochs=t.epochs, lr=t.lr,
-                    weight_decay=t.weight_decay, grad_clip=t.grad_clip,
-                    lap_pe_dim=t.lap_pe_dim, seed=c.seed, patience=t.patience,
-                    callbacks=callbacks, **persist)
-            elif t.seq_len is not None:
-                self.record = train_node_classification_batched(
-                    model, ds, engine, seq_len=t.seq_len, epochs=t.epochs,
-                    lr=t.lr, weight_decay=t.weight_decay, grad_clip=t.grad_clip,
-                    lap_pe_dim=t.lap_pe_dim, seed=c.seed, patience=t.patience,
-                    callbacks=callbacks, **persist)
-            else:
-                self.record = train_node_classification(
-                    model, ds, engine, epochs=t.epochs, lr=t.lr,
-                    weight_decay=t.weight_decay, grad_clip=t.grad_clip,
-                    lap_pe_dim=t.lap_pe_dim, eval_every=t.eval_every,
-                    seed=c.seed, patience=t.patience, callbacks=callbacks,
-                    **persist)
+            self.record = run_epochs(
+                task, t.epochs, lr=t.lr, weight_decay=t.weight_decay,
+                grad_clip=t.grad_clip, eval_every=t.eval_every, seed=c.seed,
+                patience=t.patience, callbacks=callbacks,
+                checkpoint_path=checkpoint_path, resume_path=resume_path)
         finally:
             self._fitting = False
         return self.record

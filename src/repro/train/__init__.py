@@ -1,6 +1,7 @@
-"""Training loops, metrics, callbacks and convergence recording."""
+"""The epoch loop, its training tasks, metrics, callbacks and convergence
+recording."""
 
-from .metrics import EarlyStopping, accuracy, mae
+from .metrics import accuracy, mae
 from .callbacks import (
     Callback,
     CallbackList,
@@ -11,6 +12,7 @@ from .trainer import (
     TrainingRecord,
     planned_forward,
     prepare_inputs,
+    run_epochs,
     seed_stochastic_modules,
     train_graph_task,
     train_node_classification,
@@ -21,7 +23,6 @@ from .checkpointing import load_checkpoint, save_checkpoint
 __all__ = [
     "accuracy",
     "mae",
-    "EarlyStopping",
     "Callback",
     "CallbackList",
     "EarlyStoppingCallback",
@@ -30,6 +31,7 @@ __all__ = [
     "planned_forward",
     "prepare_inputs",
     "seed_stochastic_modules",
+    "run_epochs",
     "train_node_classification",
     "train_graph_task",
     "train_node_classification_batched",

@@ -11,27 +11,26 @@ inference), so accuracy reflects the context size actually used.
 The engine preprocesses *per batch* — cluster reordering and pattern
 construction happen on the induced subgraph, exactly as TorchGT would
 process a sampled sequence — and engine preprocessing time is summed
-into the record like the full-graph trainer does.
+into the record as the full-graph task does.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from ..core.engine import Engine
 from ..graph.datasets import NodeDataset
-from ..tensor import AdamW, clip_grad_norm, no_grad, precision_scope
+from ..tensor import Tensor, no_grad
 from ..tensor import functional as F
-from .callbacks import Callback, EarlyStoppingCallback, as_callback_list
-from .checkpointing import load_checkpoint, save_checkpoint
+from .callbacks import Callback
 from .metrics import accuracy
-from .trainer import (TrainingRecord, planned_forward, prepare_inputs,
-                      seed_stochastic_modules)
+from .trainer import (Task, TrainingRecord, planned_forward, prepare_inputs,
+                      run_epochs)
 
-__all__ = ["batched_node_predictions", "train_node_classification_batched"]
+__all__ = ["batched_node_predictions", "SampledSequenceTask",
+           "train_node_classification_batched"]
 
 
 def _batches(n: int, seq_len: int, rng: np.random.Generator,
@@ -46,6 +45,19 @@ def _batches(n: int, seq_len: int, rng: np.random.Generator,
     return out
 
 
+def _forward_batch(model, dataset: NodeDataset, engine: Engine,
+                   nodes: np.ndarray, lap_pe_dim: int, train: bool):
+    """Planned forward over the subgraph induced by ``nodes``; returns
+    ``(out, order, ctx)``, where row ``r`` of ``out`` is node ``order[r]``."""
+    sub, _ = dataset.graph.subgraph(nodes)
+    ctx, enc = prepare_inputs(engine, model, sub, lap_pe_dim, train=train)
+    inv = ctx.node_permutation_inverse()
+    order = nodes[inv] if inv is not None else nodes
+    out = planned_forward(model, engine, ctx, dataset.features[order], enc,
+                          train=train)
+    return out, order, ctx
+
+
 def batched_node_predictions(model, dataset: NodeDataset, engine: Engine,
                              seq_len: int, rng: np.random.Generator,
                              lap_pe_dim: int = 8) -> np.ndarray:
@@ -54,113 +66,73 @@ def batched_node_predictions(model, dataset: NodeDataset, engine: Engine,
     logits = np.zeros((dataset.num_nodes, dataset.num_classes))
     with no_grad():
         for nodes in _batches(dataset.num_nodes, seq_len, rng, min_batch=1):
-            sub, _ = dataset.graph.subgraph(nodes)
-            ctx, enc = prepare_inputs(engine, model, sub, lap_pe_dim,
-                                      train=False)
-            feats = dataset.features[nodes]
-            inv = ctx.node_permutation_inverse()
-            batch_to_orig = nodes[inv] if inv is not None else nodes
-            if inv is not None:
-                feats = feats[inv]
-            out = planned_forward(model, engine, ctx, feats, enc,
-                                  train=False)
-            logits[batch_to_orig] = out.data
+            out, order, _ = _forward_batch(model, dataset, engine, nodes,
+                                           lap_pe_dim, train=False)
+            logits[order] = out.data
     return logits
 
 
-def train_node_classification_batched(
-    model,
-    dataset: NodeDataset,
-    engine: Engine,
-    seq_len: int,
-    epochs: int = 10,
-    lr: float = 1e-3,
-    weight_decay: float = 1e-4,
-    grad_clip: float = 5.0,
-    lap_pe_dim: int = 8,
-    seed: int = 0,
-    patience: int | None = None,
-    callbacks: Sequence[Callback] | Callback | None = None,
-    checkpoint_path: str | None = None,
-    resume_path: str | None = None,
-) -> TrainingRecord:
+class SampledSequenceTask(Task):
     """Node classification with sampled sequences of length ``seq_len``.
 
     One epoch = one random partition of all nodes into batches, one
-    optimizer step per batch containing training nodes.  Returns the
-    same :class:`~repro.train.trainer.TrainingRecord` as the full-graph
-    trainer, with ``seq_len`` stamped into the dataset name.
-    ``patience`` / ``callbacks`` behave exactly as in the full-graph
-    trainer.  ``checkpoint_path`` / ``resume_path`` save/restore
-    per-epoch training state; on resume the batch-sampling stream is
-    fast-forwarded past the completed epochs, so the resumed run draws
-    the same node partitions the uninterrupted run would have.
+    optimizer step per batch containing training nodes; every evaluation
+    predicts over a fresh partition.  Both draw from one stream seeded
+    by ``seed``, which :meth:`seek` fast-forwards on resume, so a resumed
+    run draws the same node partitions the uninterrupted run would have.
     """
-    if seq_len < 2:
-        raise ValueError("seq_len must be >= 2")
-    seed_stochastic_modules(model, seed)
-    with precision_scope(engine.precision):
-        rng = np.random.default_rng(seed)
-        record = TrainingRecord(engine=engine.name,
-                                dataset=f"{dataset.name}[S={seq_len}]")
-        opt = AdamW(model.parameters(), lr=lr, weight_decay=weight_decay)
-        start_epoch = 0
-        if resume_path is not None:
-            start_epoch = load_checkpoint(resume_path, model, opt)["epoch"]
-            record.start_epoch = start_epoch
-            for _ in range(start_epoch):
-                # each completed epoch consumed two permutations: one for
-                # the training partition, one for batched eval
-                rng.permutation(dataset.num_nodes)
-                rng.permutation(dataset.num_nodes)
-        cbs = as_callback_list(callbacks)
-        if patience:
-            cbs.append(EarlyStoppingCallback(patience, mode="max"))
-        cbs.on_fit_start(record)
 
-        for epoch in range(start_epoch, epochs):
-            t0 = time.perf_counter()
-            model.train()
-            epoch_loss, steps = 0.0, 0
-            for nodes in _batches(dataset.num_nodes, seq_len, rng):
-                labels = np.where(dataset.train_mask[nodes],
-                                  dataset.labels[nodes], -1)
-                if (labels != -1).sum() == 0:
-                    continue
-                sub, _ = dataset.graph.subgraph(nodes)
-                ctx, enc = prepare_inputs(engine, model, sub, lap_pe_dim,
-                                          train=True)
-                record.preprocess_seconds += ctx.preprocess_seconds
-                feats = dataset.features[nodes]
-                inv = ctx.node_permutation_inverse()
-                if inv is not None:
-                    feats, labels = feats[inv], labels[inv]
-                logits = planned_forward(model, engine, ctx, feats, enc,
-                                         train=True)
-                loss = F.cross_entropy(logits, labels, ignore_index=-1)
-                opt.zero_grad()
-                loss.backward()
-                clip_grad_norm(opt.params, grad_clip)
-                opt.step()
-                epoch_loss += loss.item()
-                steps += 1
-            epoch_time = time.perf_counter() - t0
-            record.train_loss.append(epoch_loss / max(steps, 1))
-            record.epoch_times.append(epoch_time)
-            engine.observe_epoch(record.train_loss[-1], epoch_time)
+    def __init__(self, model, dataset: NodeDataset, engine: Engine,
+                 seq_len: int, lap_pe_dim: int = 8, seed: int = 0):
+        if seq_len < 2:
+            raise ValueError("seq_len must be >= 2")
+        super().__init__(model, dataset, engine, lap_pe_dim)
+        self.seq_len = seq_len
+        self.rng = np.random.default_rng(seed)
+        self.train_labels = np.where(dataset.train_mask, dataset.labels, -1)
+        self.record.dataset = f"{dataset.name}[S={seq_len}]"
+        self.metadata["seq_len"] = seq_len
 
-            logits = batched_node_predictions(model, dataset, engine, seq_len,
-                                              rng, lap_pe_dim)
-            record.val_metric.append(
-                accuracy(logits, dataset.labels, dataset.val_mask))
-            record.test_metric.append(
-                accuracy(logits, dataset.labels, dataset.test_mask))
-            if checkpoint_path is not None:
-                save_checkpoint(checkpoint_path, model, opt, epoch=epoch + 1,
-                                metadata={"dataset": dataset.name,
-                                          "engine": engine.name,
-                                          "seq_len": seq_len})
-            if cbs.on_epoch_end(epoch, record):
-                break
-        cbs.on_fit_end(record)
-        return record
+    def seek(self, epochs: int, evals: int) -> None:
+        # every training partition and every eval drew one permutation
+        for _ in range(epochs + evals):
+            self.rng.permutation(self.dataset.num_nodes)
+
+    def steps(self, epoch: int) -> Iterator[Tensor]:
+        for nodes in _batches(self.dataset.num_nodes, self.seq_len, self.rng):
+            if (self.train_labels[nodes] == -1).all():
+                continue
+            logits, order, ctx = _forward_batch(self.model, self.dataset,
+                                                self.engine, nodes,
+                                                self.lap_pe_dim, train=True)
+            self.record.preprocess_seconds += ctx.preprocess_seconds
+            yield F.cross_entropy(logits, self.train_labels[order],
+                                  ignore_index=-1)
+
+    def evaluate(self) -> tuple[float, float]:
+        ds = self.dataset
+        logits = batched_node_predictions(self.model, ds, self.engine,
+                                          self.seq_len, self.rng,
+                                          self.lap_pe_dim)
+        return (accuracy(logits, ds.labels, ds.val_mask),
+                accuracy(logits, ds.labels, ds.test_mask))
+
+
+def train_node_classification_batched(
+        model, dataset: NodeDataset, engine: Engine, seq_len: int,
+        epochs: int = 10, lr: float = 1e-3, weight_decay: float = 1e-4,
+        grad_clip: float = 5.0, lap_pe_dim: int = 8, seed: int = 0,
+        patience: int | None = None,
+        callbacks: Sequence[Callback] | Callback | None = None,
+        checkpoint_path: str | None = None,
+        resume_path: str | None = None) -> TrainingRecord:
+    """Node classification with sampled sequences of length ``seq_len``.
+
+    :class:`SampledSequenceTask` under
+    :func:`~repro.train.trainer.run_epochs`, evaluating every epoch.
+    """
+    task = SampledSequenceTask(model, dataset, engine, seq_len, lap_pe_dim,
+                               seed)
+    return run_epochs(task, epochs, lr, weight_decay, grad_clip, seed=seed,
+                      patience=patience, callbacks=callbacks,
+                      checkpoint_path=checkpoint_path, resume_path=resume_path)

@@ -1,6 +1,7 @@
-"""Training callbacks — the hook protocol the trainers fire during a run.
+"""Training callbacks — the hook protocol the epoch loop fires during a run.
 
-A callback observes one training run: the trainer calls ``on_fit_start``
+A callback observes one training run: the epoch loop
+(:func:`~repro.train.trainer.run_epochs`) calls ``on_fit_start``
 once, ``on_epoch_end`` after every optimizer epoch (returning a truthy
 value stops training), ``on_reform`` whenever the engine's runtime
 feedback actually re-reformed the attention pattern (the TorchGT Auto
@@ -9,15 +10,15 @@ Tuner moving β_thre), and ``on_fit_end`` after the loop.  The
 every hook, so callbacks read metrics without private state.
 
 Early stopping is implemented as a callback
-(:class:`EarlyStoppingCallback`) rather than trainer-internal logic; the
-legacy ``patience=`` trainer argument now just installs one.
+(:class:`EarlyStoppingCallback`) rather than loop-internal logic; the
+``patience=`` argument just installs one.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
-from .metrics import EarlyStopping
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from .trainer import TrainingRecord
@@ -43,9 +44,19 @@ class Callback:
 
 
 class CallbackList(Callback):
-    """Fan a hook call out to several callbacks (stop if any asks)."""
+    """Fan a hook call out to several callbacks (stop if any asks).
 
-    def __init__(self, callbacks: Iterable[Callback] | None = None):
+    ``callbacks`` is one callback, an iterable of them, another
+    ``CallbackList`` or None; the list is always copied, so the loop
+    appending its run-local ``patience`` stopper never mutates a list the
+    caller reuses across runs.
+    """
+
+    def __init__(self, callbacks: Iterable[Callback] | Callback | None = None):
+        if isinstance(callbacks, CallbackList):
+            callbacks = callbacks.callbacks
+        elif isinstance(callbacks, Callback):
+            callbacks = [callbacks]
         self.callbacks: list[Callback] = list(callbacks or ())
 
     def append(self, cb: Callback) -> None:
@@ -72,35 +83,56 @@ class CallbackList(Callback):
 
 
 class EarlyStoppingCallback(Callback):
-    """Stop after ``patience`` epochs without validation improvement.
+    """Stop after ``patience`` validation points without improvement.
 
-    Wraps :class:`~repro.train.metrics.EarlyStopping`; only consumes
-    *new* validation points, so trainers with ``eval_every > 1`` (epochs
-    without an eval) don't count against patience.
+    ``mode="max"`` for accuracy-like metrics, ``"min"`` for losses/MAE;
+    an improvement must beat ``best`` by more than ``min_delta``.  Only
+    *new* validation points count, so epochs without an eval
+    (``eval_every > 1``) don't count against patience.  A NaN metric is
+    never an improvement but does count: a diverged run should stop, not
+    spin.  ``best`` and ``best_epoch`` record the checkpoint worth
+    keeping; ``stopped_epoch`` is the epoch training stopped after.
     """
+
+    best: float | None = None
+    best_epoch = -1
+    stopped_epoch: int | None = None
+    _bad = _seen = 0
 
     def __init__(self, patience: int, mode: str = "max",
                  min_delta: float = 0.0):
+        if patience < 1:
+            raise ValueError("patience must be >= 1")
+        if mode not in ("max", "min"):
+            raise ValueError("mode must be 'max' or 'min'")
         self.patience = patience
         self.mode = mode
         self.min_delta = min_delta
-        self.stopper = EarlyStopping(patience, mode=mode, min_delta=min_delta)
-        self._seen = 0
-        self.stopped_epoch: int | None = None
 
     def on_fit_start(self, record) -> None:
-        # fresh stopper per run: a reused callback instance must not
-        # judge the new run against the previous run's best metric
-        self.stopper = EarlyStopping(self.patience, mode=self.mode,
-                                     min_delta=self.min_delta)
-        self.stopped_epoch = None
-        self._seen = len(record.val_metric)
+        # fresh state per run: a reused callback instance must not judge
+        # the new run against the previous run's best metric
+        self.best, self.best_epoch, self.stopped_epoch = None, -1, None
+        self._bad, self._seen = 0, len(record.val_metric)
+
+    def _improved(self, value: float) -> bool:
+        if np.isnan(value):
+            return False
+        if self.best is None:
+            return True
+        if self.mode == "max":
+            return value > self.best + self.min_delta
+        return value < self.best - self.min_delta
 
     def on_epoch_end(self, epoch, record) -> bool:
         stop = False
-        while self._seen < len(record.val_metric):
-            stop = self.stopper.update(record.val_metric[self._seen]) or stop
+        for value in record.val_metric[self._seen:]:
             self._seen += 1
+            if self._improved(value):
+                self.best, self.best_epoch, self._bad = value, epoch, 0
+            else:
+                self._bad += 1
+                stop = stop or self._bad >= self.patience
         if stop:
             self.stopped_epoch = epoch
         return stop
@@ -125,7 +157,7 @@ class EpochLogger(Callback):
         loss = record.train_loss[-1] if record.train_loss else float("nan")
         line = f"epoch {epoch + 1:>3}  loss {loss:>8.4f}"
         # only report a test metric produced *this* epoch — on epochs the
-        # trainer skipped evaluation, repeating the old value would read
+        # loop skipped evaluation, repeating the old value would read
         # as a current result
         if fresh_metric:
             line += f"  test {record.metric_name} {record.test_metric[-1]:.4f}"
@@ -135,20 +167,3 @@ class EpochLogger(Callback):
         if (epoch + 1) % self.every:  # honor the same throttle as epochs
             return
         print(f"epoch {epoch + 1:>3}  [pattern re-reformed]", file=self.stream)
-
-
-def as_callback_list(callbacks: Sequence[Callback] | Callback | None,
-                     ) -> CallbackList:
-    """Normalize the trainers' ``callbacks=`` argument.
-
-    Always returns a *fresh* ``CallbackList`` — trainers append run-local
-    callbacks (the ``patience`` stopper) to it, which must never mutate a
-    list object the caller plans to reuse across runs.
-    """
-    if callbacks is None:
-        return CallbackList()
-    if isinstance(callbacks, CallbackList):
-        return CallbackList(callbacks.callbacks)
-    if isinstance(callbacks, Callback):
-        return CallbackList([callbacks])
-    return CallbackList(callbacks)

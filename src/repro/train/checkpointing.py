@@ -23,10 +23,10 @@ import os
 
 import numpy as np
 
-from ..tensor.module import Module
+from ..tensor.module import Dropout, Module
 from ..tensor.optim import Optimizer
 
-__all__ = ["save_checkpoint", "load_checkpoint"]
+__all__ = ["save_checkpoint", "load_checkpoint", "noise_streams"]
 
 _FORMAT = "repro-train-checkpoint-v1"
 
@@ -41,37 +41,30 @@ def _flatten_optimizer(state: dict, out: dict) -> None:
             out[f"opt/scalar/{name}"] = np.asarray(values)
 
 
-def _capture_rng(model: Module) -> str:
-    """JSON-encode the bit-generator state of every stochastic module.
-
-    Keyed by (module traversal index, kind) — the same addressing
-    :func:`~repro.train.trainer.seed_stochastic_modules` uses, so the
-    states land back on the modules they came from.
-    """
-    from ..tensor import Dropout
-
-    states = []
+def noise_streams(model: Module):
+    """``(traversal index, kind, module, attribute)`` of every stochastic
+    stream in ``model`` (dropout, gumbel noise): the one addressing that
+    seeding, capture and restore share."""
     for i, m in enumerate(model.modules()):
         if isinstance(m, Dropout):
-            states.append([i, "dropout", m.rng.bit_generator.state])
+            yield i, "dropout", m, "rng"
         if hasattr(m, "_gumbel_rng"):
-            states.append([i, "gumbel", m._gumbel_rng.bit_generator.state])
-    return json.dumps(states)
+            yield i, "gumbel", m, "_gumbel_rng"
+
+
+def _capture_rng(model: Module) -> str:
+    """JSON-encode the bit-generator state of every noise stream."""
+    return json.dumps([[i, kind, getattr(m, attr).bit_generator.state]
+                       for i, kind, m, attr in noise_streams(model)])
 
 
 def _restore_rng(model: Module, payload: str) -> None:
-    from ..tensor import Dropout
-
     states = {(int(i), kind): st for i, kind, st in json.loads(payload)}
-    for i, m in enumerate(model.modules()):
-        if isinstance(m, Dropout) and (i, "dropout") in states:
+    for i, kind, m, attr in noise_streams(model):
+        if (i, kind) in states:
             rng = np.random.default_rng()
-            rng.bit_generator.state = states[(i, "dropout")]
-            m.rng = rng
-        if hasattr(m, "_gumbel_rng") and (i, "gumbel") in states:
-            rng = np.random.default_rng()
-            rng.bit_generator.state = states[(i, "gumbel")]
-            m._gumbel_rng = rng
+            rng.bit_generator.state = states[(i, kind)]
+            setattr(m, attr, rng)
 
 
 def _unflatten_optimizer(z) -> dict:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["accuracy", "mae", "EarlyStopping"]
+__all__ = ["accuracy", "mae"]
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray,
@@ -25,51 +25,3 @@ def accuracy(logits: np.ndarray, labels: np.ndarray,
 def mae(pred: np.ndarray, target: np.ndarray) -> float:
     """Mean absolute error (ZINC / PCQM4M metric)."""
     return float(np.abs(np.asarray(pred) - np.asarray(target)).mean())
-
-
-class EarlyStopping:
-    """Patience-based stopper on a validation metric.
-
-    ``mode="max"`` for accuracy-like metrics, ``"min"`` for losses/MAE.
-    Call :meth:`update` once per epoch; it returns True when training
-    should stop (no improvement beyond ``min_delta`` for ``patience``
-    consecutive epochs).  ``best`` and ``best_epoch`` record the
-    checkpoint worth keeping.
-    """
-
-    def __init__(self, patience: int = 10, mode: str = "max",
-                 min_delta: float = 0.0):
-        if patience < 1:
-            raise ValueError("patience must be >= 1")
-        if mode not in ("max", "min"):
-            raise ValueError("mode must be 'max' or 'min'")
-        self.patience = patience
-        self.mode = mode
-        self.min_delta = min_delta
-        self.best: float | None = None
-        self.best_epoch = -1
-        self._bad_epochs = 0
-        self._epoch = -1
-
-    def _improved(self, value: float) -> bool:
-        if self.best is None:
-            return True
-        if self.mode == "max":
-            return value > self.best + self.min_delta
-        return value < self.best - self.min_delta
-
-    def update(self, value: float) -> bool:
-        """Record an epoch's metric; returns True when patience ran out."""
-        self._epoch += 1
-        if np.isnan(value):
-            # a NaN metric is never an improvement, but counts against
-            # patience — a diverged run should stop, not spin
-            self._bad_epochs += 1
-            return self._bad_epochs >= self.patience
-        if self._improved(value):
-            self.best = value
-            self.best_epoch = self._epoch
-            self._bad_epochs = 0
-            return False
-        self._bad_epochs += 1
-        return self._bad_epochs >= self.patience

@@ -1,16 +1,19 @@
-"""Engine-agnostic training loops for node-level and graph-level tasks.
+"""Engine-agnostic training: one epoch loop and the tasks it runs.
 
-The trainer owns the optimization loop; the engine owns the system plan
-(which attention kernel, which pattern).  Every epoch records wall-clock
-time, train loss, and val/test metrics, producing the convergence curves
-of Figures 8/10/11 and the accuracy columns of Tables V/VII/VIII.
+The loop (:func:`run_epochs`) owns optimization and bookkeeping; a
+:class:`Task` owns what one kind of training does inside it (full-graph
+node, graph-level, or sampled-sequence node training); the engine owns
+the system plan (which attention kernel, which pattern).  Every epoch
+records wall-clock time, train loss, and val/test metrics, producing the
+convergence curves of Figures 8/10/11 and the accuracy columns of Tables
+V/VII/VIII.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -18,15 +21,15 @@ from ..core.engine import Engine, SequenceContext
 from ..graph.csr import CSRGraph
 from ..graph.datasets import GraphDataset, NodeDataset
 from ..models.encodings import GraphEncodings, compute_encodings
-from ..tensor import AdamW, Dropout, clip_grad_norm, precision_scope
+from ..tensor import AdamW, Tensor, clip_grad_norm, no_grad, precision_scope
 from ..tensor import functional as F
-from .callbacks import Callback, EarlyStoppingCallback, as_callback_list
-from .checkpointing import load_checkpoint, save_checkpoint
+from .callbacks import Callback, CallbackList, EarlyStoppingCallback
+from .checkpointing import load_checkpoint, noise_streams, save_checkpoint
 from .metrics import accuracy, mae
 
 __all__ = ["TrainingRecord", "planned_forward", "prepare_inputs",
-           "seed_stochastic_modules", "train_node_classification",
-           "train_graph_task"]
+           "seed_stochastic_modules", "Task", "FullGraphTask", "GraphTask",
+           "run_epochs", "train_node_classification", "train_graph_task"]
 
 
 @dataclass
@@ -79,11 +82,9 @@ def seed_stochastic_modules(model, seed: int) -> None:
     module's stream is keyed by ``(seed, traversal index)`` alone, so a
     module keeps its stream as long as its position does not move.
     """
-    for i, m in enumerate(model.modules()):
-        if isinstance(m, Dropout):
-            m.rng = np.random.default_rng([seed, i, 0])
-        if hasattr(m, "_gumbel_rng"):
-            m._gumbel_rng = np.random.default_rng([seed, i, 1])
+    for i, kind, module, attr in noise_streams(model):
+        setattr(module, attr,
+                np.random.default_rng([seed, i, int(kind == "gumbel")]))
 
 
 def planned_forward(model, engine: Engine, ctx: SequenceContext,
@@ -116,197 +117,217 @@ def prepare_inputs(engine: Engine, model, g: CSRGraph, lap_pe_dim: int,
     return ctx, enc
 
 
-def train_node_classification(
-    model,
-    dataset: NodeDataset,
-    engine: Engine,
-    epochs: int = 30,
-    lr: float = 1e-3,
-    weight_decay: float = 1e-4,
-    grad_clip: float = 5.0,
-    lap_pe_dim: int = 8,
-    eval_every: int = 1,
-    seed: int = 0,
-    patience: int | None = None,
-    callbacks: Sequence[Callback] | Callback | None = None,
-    checkpoint_path: str | None = None,
-    resume_path: str | None = None,
-) -> TrainingRecord:
-    """Full-graph node classification (the sequence is all N nodes).
+class Task:
+    """What one kind of training supplies to :func:`run_epochs`.
 
-    ``seed`` pins the training-time noise streams (dropout) via
-    :func:`seed_stochastic_modules`, so a run is reproducible end to end
-    given the same model-init seed.  ``patience`` (optional) enables
-    early stopping on validation accuracy: training halts after
-    ``patience`` consecutive epochs with no improvement, and the record
-    holds only the epochs actually run.  ``callbacks`` receive
-    ``on_epoch_end`` / ``on_reform`` hooks (see
-    :mod:`repro.train.callbacks`).
-
-    ``checkpoint_path`` writes a full training checkpoint (model +
-    optimizer + noise-stream positions + epoch counter) after every
-    epoch; ``resume_path`` restores one and continues from its epoch —
-    bit-compatible with the uninterrupted run for engines without
-    runtime tuner state (the record then holds only the resumed epochs).
+    A task defines ``steps(epoch)``, which yields one loss per optimizer
+    step, and ``evaluate()`` → ``(val, test)``.  :meth:`prepare` runs
+    inside the engine's precision scope; it and :meth:`seek` and
+    :meth:`refresh` default to doing nothing.  The loop fills
+    ``record`` and stamps ``metadata`` into every checkpoint it writes,
+    so a task serves one run.
     """
+
+    def __init__(self, model, dataset, engine: Engine, lap_pe_dim: int = 8):
+        self.model, self.dataset, self.engine = model, dataset, engine
+        self.lap_pe_dim = lap_pe_dim
+        self.record = TrainingRecord(engine=engine.name, dataset=dataset.name)
+        self.metadata = {"dataset": dataset.name, "engine": engine.name}
+
+    def prepare(self) -> None:
+        """Engine preprocessing, before the first epoch."""
+
+    def seek(self, epochs: int, evals: int) -> None:
+        """Move the task's own streams past a checkpoint's ``epochs``
+        completed epochs, ``evals`` of which evaluated."""
+
+    def refresh(self) -> bool:
+        """Re-derive the plan after the engine observed an epoch; returns
+        whether the attention pattern was re-reformed."""
+        return False
+
+
+def run_epochs(task: Task, epochs: int, lr: float = 1e-3,
+               weight_decay: float = 1e-4, grad_clip: float = 5.0,
+               eval_every: int = 1, seed: int = 0,
+               patience: int | None = None,
+               callbacks: Sequence[Callback] | Callback | None = None,
+               checkpoint_path: str | None = None,
+               resume_path: str | None = None) -> TrainingRecord:
+    """Train ``task`` for ``epochs`` epochs: the one epoch loop.
+
+    Each epoch takes one clipped AdamW step per loss the task yields and
+    records their mean and its wall time.  The engine then observes the
+    epoch (TorchGT's Auto Tuner) and the task refreshes its plan, firing
+    ``on_reform`` before the epoch's evaluation if the pattern was
+    re-reformed.  Only the full-graph task refreshes: on graph-level
+    tasks the tuner moves β_thre but no graph is re-reformed, because
+    ``TorchGTEngine.refresh`` tracks a single β_thre in use.  Epochs
+    ``eval_every``, ``2 * eval_every``, … of the whole run evaluate.
+
+    ``seed`` pins the noise streams (:func:`seed_stochastic_modules`);
+    ``patience`` installs an
+    :class:`~repro.train.callbacks.EarlyStoppingCallback` (minimizing
+    MAE, maximizing accuracy).  ``checkpoint_path`` is rewritten after
+    every epoch; ``resume_path`` restores one, the task seeks past its
+    epochs, and the run continues bit for bit as if uninterrupted (for
+    engines without runtime tuner state), recording only those epochs.
+    """
+    model, engine, record = task.model, task.engine, task.record
     seed_stochastic_modules(model, seed)
     with precision_scope(engine.precision):
-        ctx, enc = prepare_inputs(engine, model, dataset.graph, lap_pe_dim,
-                                  train=True)
-        feats, labels = dataset.features, dataset.labels
-        train_m, val_m, test_m = dataset.train_mask, dataset.val_mask, dataset.test_mask
-        inv = ctx.node_permutation_inverse()
-        if inv is not None:  # carry the node arrays through the reordering
-            feats, labels = feats[inv], labels[inv]
-            train_m, val_m, test_m = train_m[inv], val_m[inv], test_m[inv]
-        record = TrainingRecord(engine=engine.name, dataset=dataset.name,
-                                preprocess_seconds=ctx.preprocess_seconds)
+        task.prepare()
         opt = AdamW(model.parameters(), lr=lr, weight_decay=weight_decay)
-        start_epoch = 0
         if resume_path is not None:
-            start_epoch = load_checkpoint(resume_path, model, opt)["epoch"]
-            record.start_epoch = start_epoch
-        masked_labels = np.where(train_m, labels, -1)
-        cbs = as_callback_list(callbacks)
-        if patience:
-            cbs.append(EarlyStoppingCallback(patience, mode="max"))
-        cbs.on_fit_start(record)
-
-        for epoch in range(start_epoch, epochs):
-            t0 = time.perf_counter()
-            model.train()
-            logits = planned_forward(model, engine, ctx, feats, enc, train=True)
-            loss = F.cross_entropy(logits, masked_labels, ignore_index=-1)
-            opt.zero_grad()
-            loss.backward()
-            clip_grad_norm(opt.params, grad_clip)
-            opt.step()
-            epoch_time = time.perf_counter() - t0
-            record.train_loss.append(loss.item())
-            record.epoch_times.append(epoch_time)
-            engine.observe_epoch(loss.item(), epoch_time)
-            reformed_before = ctx.reformed
-            ctx = engine.refresh(ctx)
-            if ctx.reformed is not reformed_before:
-                cbs.on_reform(epoch, record)
-
-            if len(record.train_loss) % eval_every == 0:
-                model.eval()
-                from ..tensor import no_grad
-                with no_grad():
-                    out = planned_forward(model, engine, ctx, feats, enc, train=False)
-                record.val_metric.append(accuracy(out.data, labels, val_m))
-                record.test_metric.append(accuracy(out.data, labels, test_m))
-            if checkpoint_path is not None:
-                save_checkpoint(checkpoint_path, model, opt, epoch=epoch + 1,
-                                metadata={"dataset": dataset.name,
-                                          "engine": engine.name})
-            if cbs.on_epoch_end(epoch, record):
-                break
-        cbs.on_fit_end(record)
-        return record
-
-
-def train_graph_task(
-    model,
-    dataset: GraphDataset,
-    engine: Engine,
-    epochs: int = 20,
-    lr: float = 1e-3,
-    weight_decay: float = 1e-4,
-    grad_clip: float = 5.0,
-    lap_pe_dim: int = 8,
-    seed: int = 0,
-    patience: int | None = None,
-    callbacks: Sequence[Callback] | Callback | None = None,
-    checkpoint_path: str | None = None,
-    resume_path: str | None = None,
-) -> TrainingRecord:
-    """Graph-level classification or regression (one graph per step).
-
-    Each graph is one input sequence; gradients are applied per graph
-    (batch size 1), matching the long-sequence regime the paper targets
-    for MalNet-scale graphs.  ``seed`` pins training-time noise streams;
-    ``patience`` early-stops on the validation metric (minimized for
-    regression MAE, maximized for accuracy); ``callbacks`` receive the
-    :mod:`repro.train.callbacks` hooks.  ``checkpoint_path`` /
-    ``resume_path`` save/restore per-epoch training state exactly as in
-    :func:`train_node_classification`.
-    """
-    seed_stochastic_modules(model, seed)
-    with precision_scope(engine.precision):
-        is_regression = dataset.num_classes == 0
-        metric_name = "mae" if is_regression else "accuracy"
-
-        # preprocessing: one context + encodings per graph
-        contexts: list[SequenceContext] = []
-        encodings: list[GraphEncodings] = []
-        preproc = 0.0
-        for g in dataset.graphs:
-            ctx, enc = prepare_inputs(engine, model, g, lap_pe_dim, train=True)
-            preproc += ctx.preprocess_seconds
-            contexts.append(ctx)
-            encodings.append(enc)
-
-        record = TrainingRecord(engine=engine.name, dataset=dataset.name,
-                                preprocess_seconds=preproc, metric_name=metric_name)
-        opt = AdamW(model.parameters(), lr=lr, weight_decay=weight_decay)
-
-        def graph_features(i: int) -> np.ndarray:
-            feats = dataset.features[i]
-            inv = contexts[i].node_permutation_inverse()
-            return feats[inv] if inv is not None else feats
-
-        def evaluate(idx: np.ndarray) -> float:
-            from ..tensor import no_grad
-            model.eval()
-            preds = []
-            with no_grad():
-                for i in idx:
-                    out = planned_forward(model, engine, contexts[i], graph_features(i),
-                                   encodings[i], train=False)
-                    preds.append(out.data.reshape(-1))
-            if is_regression:
-                return mae(np.array([p[0] for p in preds]), dataset.targets[idx])
-            logits = np.stack([p for p in preds])
-            return accuracy(logits, dataset.targets[idx])
-
-        start_epoch = 0
-        if resume_path is not None:
-            start_epoch = load_checkpoint(resume_path, model, opt)["epoch"]
-            record.start_epoch = start_epoch
-        cbs = as_callback_list(callbacks)
+            record.start_epoch = load_checkpoint(resume_path, model, opt)["epoch"]
+            task.seek(record.start_epoch, record.start_epoch // eval_every)
+        cbs = CallbackList(callbacks)
         if patience:
             cbs.append(EarlyStoppingCallback(
-                patience, mode="min" if is_regression else "max"))
+                patience, mode="min" if record.metric_name == "mae" else "max"))
         cbs.on_fit_start(record)
-        for epoch in range(start_epoch, epochs):
+
+        for epoch in range(record.start_epoch, epochs):
             t0 = time.perf_counter()
             model.train()
-            epoch_loss = 0.0
-            for i in dataset.train_idx:
-                out = planned_forward(model, engine, contexts[i], graph_features(i),
-                               encodings[i], train=True)
-                if is_regression:
-                    loss = F.l1_loss(out, np.array([dataset.targets[i]]))
-                else:
-                    loss = F.cross_entropy(out, np.array([dataset.targets[i]]))
+            total, steps = 0.0, 0
+            for loss in task.steps(epoch):
                 opt.zero_grad()
                 loss.backward()
                 clip_grad_norm(opt.params, grad_clip)
                 opt.step()
-                epoch_loss += loss.item()
+                total += loss.item()
+                steps += 1
             epoch_time = time.perf_counter() - t0
-            record.train_loss.append(epoch_loss / max(len(dataset.train_idx), 1))
+            record.train_loss.append(total / max(steps, 1))
             record.epoch_times.append(epoch_time)
             engine.observe_epoch(record.train_loss[-1], epoch_time)
-            record.val_metric.append(evaluate(dataset.val_idx))
-            record.test_metric.append(evaluate(dataset.test_idx))
+            if task.refresh():
+                cbs.on_reform(epoch, record)
+
+            if (epoch + 1) % eval_every == 0:
+                model.eval()
+                with no_grad():
+                    val, test = task.evaluate()
+                record.val_metric.append(val)
+                record.test_metric.append(test)
             if checkpoint_path is not None:
                 save_checkpoint(checkpoint_path, model, opt, epoch=epoch + 1,
-                                metadata={"dataset": dataset.name,
-                                          "engine": engine.name})
+                                metadata=task.metadata)
             if cbs.on_epoch_end(epoch, record):
                 break
         cbs.on_fit_end(record)
         return record
+
+
+class FullGraphTask(Task):
+    """Full-graph node classification: the sequence is all N nodes, and
+    an epoch is one optimizer step."""
+
+    def prepare(self) -> None:
+        ds = self.dataset
+        self.ctx, self.enc = prepare_inputs(self.engine, self.model, ds.graph,
+                                            self.lap_pe_dim, train=True)
+        self.record.preprocess_seconds = self.ctx.preprocess_seconds
+        arrays = (ds.features, ds.labels, ds.train_mask, ds.val_mask,
+                  ds.test_mask)
+        inv = self.ctx.node_permutation_inverse()
+        if inv is not None:  # carry the node arrays through the reordering
+            arrays = tuple(a[inv] for a in arrays)
+        self.feats, self.labels, *self.masks = arrays
+        self.train_labels = np.where(self.masks[0], self.labels, -1)
+
+    def _forward(self, train: bool):
+        return planned_forward(self.model, self.engine, self.ctx, self.feats,
+                               self.enc, train)
+
+    def steps(self, epoch: int) -> Iterator[Tensor]:
+        yield F.cross_entropy(self._forward(train=True), self.train_labels,
+                              ignore_index=-1)
+
+    def evaluate(self) -> tuple[float, float]:
+        out = self._forward(train=False).data
+        return tuple(accuracy(out, self.labels, m) for m in self.masks[1:])
+
+    def refresh(self) -> bool:
+        reformed_before = self.ctx.reformed
+        self.ctx = self.engine.refresh(self.ctx)
+        return self.ctx.reformed is not reformed_before
+
+
+class GraphTask(Task):
+    """Graph-level classification (accuracy) or regression (MAE, for a
+    dataset without classes).
+
+    Each graph is one input sequence and one optimizer step (batch size
+    1), matching the long-sequence regime the paper targets for
+    MalNet-scale graphs.
+    """
+
+    def prepare(self) -> None:
+        self.regression = self.dataset.num_classes == 0
+        self.record.metric_name = "mae" if self.regression else "accuracy"
+        # preprocessing: one context + encodings per graph
+        self.prepared = [prepare_inputs(self.engine, self.model, g,
+                                        self.lap_pe_dim, train=True)
+                         for g in self.dataset.graphs]
+        self.record.preprocess_seconds = sum(ctx.preprocess_seconds
+                                             for ctx, _ in self.prepared)
+
+    def _forward(self, i: int, train: bool):
+        ctx, enc = self.prepared[i]
+        feats = self.dataset.features[i]
+        inv = ctx.node_permutation_inverse()
+        if inv is not None:
+            feats = feats[inv]
+        return planned_forward(self.model, self.engine, ctx, feats, enc, train)
+
+    def steps(self, epoch: int) -> Iterator[Tensor]:
+        loss = F.l1_loss if self.regression else F.cross_entropy
+        for i in self.dataset.train_idx:
+            yield loss(self._forward(i, train=True),
+                       np.array([self.dataset.targets[i]]))
+
+    def _score(self, idx: np.ndarray) -> float:
+        preds = [self._forward(i, train=False).data.reshape(-1) for i in idx]
+        if self.regression:
+            return mae(np.array([p[0] for p in preds]), self.dataset.targets[idx])
+        return accuracy(np.stack(preds), self.dataset.targets[idx])
+
+    def evaluate(self) -> tuple[float, float]:
+        return (self._score(self.dataset.val_idx),
+                self._score(self.dataset.test_idx))
+
+
+def train_node_classification(
+        model, dataset: NodeDataset, engine: Engine, epochs: int = 30,
+        lr: float = 1e-3, weight_decay: float = 1e-4, grad_clip: float = 5.0,
+        lap_pe_dim: int = 8, eval_every: int = 1, seed: int = 0,
+        patience: int | None = None,
+        callbacks: Sequence[Callback] | Callback | None = None,
+        checkpoint_path: str | None = None,
+        resume_path: str | None = None) -> TrainingRecord:
+    """Full-graph node classification (the sequence is all N nodes).
+
+    :class:`FullGraphTask` under :func:`run_epochs`.
+    """
+    return run_epochs(FullGraphTask(model, dataset, engine, lap_pe_dim), epochs,
+                      lr, weight_decay, grad_clip, eval_every, seed, patience,
+                      callbacks, checkpoint_path, resume_path)
+
+
+def train_graph_task(
+        model, dataset: GraphDataset, engine: Engine, epochs: int = 20,
+        lr: float = 1e-3, weight_decay: float = 1e-4, grad_clip: float = 5.0,
+        lap_pe_dim: int = 8, seed: int = 0, patience: int | None = None,
+        callbacks: Sequence[Callback] | Callback | None = None,
+        checkpoint_path: str | None = None,
+        resume_path: str | None = None) -> TrainingRecord:
+    """Graph-level classification or regression (one graph per step).
+
+    :class:`GraphTask` under :func:`run_epochs`, evaluating every epoch.
+    """
+    return run_epochs(GraphTask(model, dataset, engine, lap_pe_dim), epochs,
+                      lr, weight_decay, grad_clip, seed=seed, patience=patience,
+                      callbacks=callbacks, checkpoint_path=checkpoint_path,
+                      resume_path=resume_path)

@@ -16,13 +16,15 @@ from repro.api import (
 from repro.train import load_checkpoint
 
 
-def node_config(epochs, dropout=0.0, seed=3, seq_len=None, engine="gp-raw"):
+def node_config(epochs, dropout=0.0, seed=3, seq_len=None, engine="gp-raw",
+                eval_every=1):
     return RunConfig(
         data=DataConfig("ogbn-arxiv", scale=0.1),
         model=ModelConfig("graphormer-slim", num_layers=2, hidden_dim=16,
                           num_heads=4, dropout=dropout),
         engine=EngineConfig(engine),
-        train=TrainConfig(epochs=epochs, lr=2e-3, seq_len=seq_len),
+        train=TrainConfig(epochs=epochs, lr=2e-3, seq_len=seq_len,
+                          eval_every=eval_every),
         seed=seed,
     )
 
@@ -70,6 +72,21 @@ class TestResumeMidFit:
         resumed = Session(node_config(4, seq_len=48))
         record = resumed.resume(ck)
         np.testing.assert_allclose(record.train_loss, full.record.train_loss[2:])
+        assert_same_weights(full, resumed)
+
+    def test_batched_resume_seeks_past_the_evals_that_ran(self, tmp_path):
+        """With ``eval_every=2``, a run cut after epoch 3 drew three
+        training partitions and one eval partition; the resumed run
+        seeks past exactly those and evaluates on the same epochs."""
+        full = Session(node_config(5, seq_len=48, eval_every=2))
+        full.fit()
+        ck = str(tmp_path / "mid.npz")
+        Session(node_config(3, seq_len=48, eval_every=2)).fit(checkpoint_path=ck)
+        resumed = Session(node_config(5, seq_len=48, eval_every=2))
+        record = resumed.resume(ck)
+        assert record.train_loss == full.record.train_loss[3:]
+        assert record.val_metric == full.record.val_metric[1:]
+        assert record.test_metric == full.record.test_metric[1:]
         assert_same_weights(full, resumed)
 
     def test_graph_task_resume(self, tmp_path):

@@ -327,10 +327,19 @@ class TestCallbacks:
         rec = Session(cfg).fit()
         assert len(rec.train_loss) == 3
 
-    def test_eval_every_rejected_with_seq_len(self):
-        import pytest as _pytest
-        with _pytest.raises(ValueError, match="eval_every"):
-            node_config(train=TrainConfig(epochs=2, seq_len=48, eval_every=2))
+    def test_eval_every_applies_to_every_task(self):
+        sampled = node_config(train=TrainConfig(epochs=4, lr=2e-3, seq_len=48,
+                                                eval_every=2))
+        graph = RunConfig(
+            data=DataConfig("zinc", scale=0.05),
+            model=ModelConfig("graphormer-slim", num_layers=2, hidden_dim=16,
+                              num_heads=4, dropout=0.0),
+            engine=EngineConfig("gp-sparse"),
+            train=TrainConfig(epochs=4, lr=3e-3, eval_every=2))
+        for cfg in (sampled, graph):
+            rec = Session(cfg).fit()
+            assert len(rec.train_loss) == 4
+            assert len(rec.val_metric) == len(rec.test_metric) == 2
 
     def test_repeated_predict_reuses_prepared_context(self, monkeypatch):
         s = Session(node_config(engine=EngineConfig("torchgt")))

@@ -1,59 +1,58 @@
-"""Metrics: early stopping."""
+"""Early stopping: ``EarlyStoppingCallback`` fed one validation point per
+epoch, the way the epoch loop feeds it."""
 
 import pytest
+
+from repro.train import EarlyStoppingCallback, TrainingRecord
+
+
+def verdicts(cb, values):
+    """Run ``cb`` over one fit whose epochs evaluate to ``values``."""
+    record = TrainingRecord("engine", "dataset")
+    cb.on_fit_start(record)
+    out = []
+    for epoch, value in enumerate(values):
+        record.val_metric.append(value)
+        out.append(cb.on_epoch_end(epoch, record))
+    return out
 
 
 class TestEarlyStopping:
     def test_stops_after_patience(self):
-        from repro.train import EarlyStopping
-        es = EarlyStopping(patience=3, mode="max")
-        assert not es.update(0.5)
-        assert not es.update(0.4)
-        assert not es.update(0.4)
-        assert es.update(0.3)  # third bad epoch
+        cb = EarlyStoppingCallback(patience=3, mode="max")
+        # the third bad epoch stops
+        assert verdicts(cb, [0.5, 0.4, 0.4, 0.3]) == [False, False, False, True]
+        assert cb.stopped_epoch == 3
 
     def test_improvement_resets_patience(self):
-        from repro.train import EarlyStopping
-        es = EarlyStopping(patience=2, mode="max")
-        es.update(0.5)
-        es.update(0.4)
-        assert not es.update(0.6)  # improvement
-        assert not es.update(0.5)
-        assert es.update(0.5)
+        cb = EarlyStoppingCallback(patience=2, mode="max")
+        got = verdicts(cb, [0.5, 0.4, 0.6, 0.5, 0.5])
+        assert got == [False, False, False, False, True]  # 0.6 improved
 
     def test_min_mode(self):
-        from repro.train import EarlyStopping
-        es = EarlyStopping(patience=2, mode="min")
-        es.update(1.0)
-        assert not es.update(0.8)
-        assert not es.update(0.9)
-        assert es.update(0.85)
+        cb = EarlyStoppingCallback(patience=2, mode="min")
+        assert verdicts(cb, [1.0, 0.8, 0.9, 0.85]) == [False, False, False, True]
 
     def test_min_delta_requires_real_improvement(self):
-        from repro.train import EarlyStopping
-        es = EarlyStopping(patience=1, mode="max", min_delta=0.05)
-        es.update(0.5)
-        assert es.update(0.52)  # within delta — not an improvement
+        cb = EarlyStoppingCallback(patience=1, mode="max", min_delta=0.05)
+        # 0.52 is within delta: not an improvement
+        assert verdicts(cb, [0.5, 0.52]) == [False, True]
 
     def test_best_epoch_tracked(self):
-        from repro.train import EarlyStopping
-        es = EarlyStopping(patience=10, mode="max")
-        for i, v in enumerate([0.2, 0.7, 0.5, 0.6]):
-            es.update(v)
-        assert es.best == pytest.approx(0.7)
-        assert es.best_epoch == 1
+        cb = EarlyStoppingCallback(patience=10, mode="max")
+        verdicts(cb, [0.2, 0.7, 0.5, 0.6])
+        assert cb.best == pytest.approx(0.7)
+        assert cb.best_epoch == 1
+        assert cb.stopped_epoch is None
 
     def test_nan_counts_against_patience(self):
-        from repro.train import EarlyStopping
-        es = EarlyStopping(patience=2, mode="max")
-        es.update(0.5)
-        assert not es.update(float("nan"))
-        assert es.update(float("nan"))
-        assert es.best == pytest.approx(0.5)
+        cb = EarlyStoppingCallback(patience=2, mode="max")
+        got = verdicts(cb, [0.5, float("nan"), float("nan")])
+        assert got == [False, False, True]
+        assert cb.best == pytest.approx(0.5)
 
     def test_validation(self):
-        from repro.train import EarlyStopping
         with pytest.raises(ValueError):
-            EarlyStopping(patience=0)
+            EarlyStoppingCallback(patience=0)
         with pytest.raises(ValueError):
-            EarlyStopping(mode="sideways")
+            EarlyStoppingCallback(patience=2, mode="sideways")

@@ -265,3 +265,45 @@ class TestTrainerCallbacks:
         assert len(lines) == 2
         assert "test" not in lines[0]  # epoch 1: no eval ran
         assert "test accuracy" in lines[1]  # epoch 2: fresh metric
+
+    def test_on_reform_fires_before_that_epochs_eval(self, capsys):
+        """A stub engine whose refresh re-reforms after epoch 2 (no tuner,
+        no wall time): ``on_reform`` fires once, for that epoch, after its
+        training step and before its evaluation and ``on_epoch_end``."""
+        from dataclasses import replace
+
+        from repro.core import GPRawEngine
+        from repro.train import Callback, EpochLogger
+
+        class ReformsOnce(GPRawEngine):
+            def __init__(self, at):
+                super().__init__(num_layers=2)
+                self.at, self.refreshes = at, 0
+
+            def refresh(self, ctx):
+                if self.refreshes == self.at:
+                    ctx.reformed = object()
+                self.refreshes += 1
+                return ctx
+
+        events = []
+
+        class Spy(Callback):
+            def on_reform(self, epoch, record):
+                events.append(("reform", epoch, len(record.val_metric)))
+
+            def on_epoch_end(self, epoch, record):
+                events.append(("end", epoch, len(record.val_metric)))
+
+        ds = load_node_dataset("ogbn-arxiv", scale=0.1, seed=0)
+        cfg = replace(GRAPHORMER_SLIM(ds.features.shape[1], ds.num_classes),
+                      num_layers=2, hidden_dim=16, num_heads=2, dropout=0.0)
+        train_node_classification(Graphormer(cfg, seed=0), ds, ReformsOnce(1),
+                                  epochs=3, lr=2e-3,
+                                  callbacks=[Spy(), EpochLogger()])
+        assert events == [("end", 0, 1), ("reform", 1, 1), ("end", 1, 2),
+                          ("end", 2, 3)]
+        lines = [l for l in capsys.readouterr().out.splitlines()
+                 if l.startswith("epoch")]
+        assert lines[1] == "epoch   2  [pattern re-reformed]"
+        assert len(lines) == 4
