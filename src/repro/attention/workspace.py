@@ -33,7 +33,9 @@ a run over one pattern (node-level training, warm full-graph serving)
 allocates nothing else, and a run over many (graph-level training, a
 graph collection's predicts) holds one set, the last pattern's, instead
 of one per pattern.  Per thread, because a serving thread and its caller
-can run the kernel at the same time.
+can run the kernel at the same time.  The GP-Flash kernel keeps its tile
+temporaries in the same dict under ``flash_`` names (see
+:mod:`repro.attention.flash`).
 
 Caching is process-global and can be toggled (``set_workspace_caching`` /
 the ``workspace_caching`` context manager) — the disabled path builds a
@@ -142,12 +144,14 @@ _arena = threading.local()
 
 
 def scratch_arena() -> dict:
-    """The calling thread's sparse-kernel scratch buffers.
+    """The calling thread's attention-kernel scratch buffers.
 
-    A ``workspace_buffer`` dict keyed by buffer name: the kernel's
-    temporaries live here across calls, so a warm call allocates only the
-    arrays that escape it.  One per thread, whatever the pattern, so the
-    retained memory is one set of buffers per thread.
+    A ``workspace_buffer`` dict keyed by buffer name: the temporaries of
+    the sparse and flash kernels (the latter's names start with
+    ``flash_``) live here across calls, so a warm call allocates only the
+    arrays that escape it.  One per thread, whatever the pattern or
+    sequence length, so the retained memory is one set of buffers per
+    thread.
     """
     try:
         return _arena.bufs

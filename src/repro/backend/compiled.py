@@ -164,9 +164,11 @@ def _step_sparse_attention(srcs, st):
 
 
 def _step_flash_attention(srcs, st):
+    # st.ws keeps the output and row statistics; the tiles' temporaries
+    # come from the thread's scratch arena, as for the sparse step
     out, _m, _l = flash_forward(srcs[0], srcs[1], srcs[2],
                                 scale=st.params["scale"],
-                                tile_size=st.params["tile_size"])
+                                tile_size=st.params["tile_size"], ws=st.ws)
     return out
 
 

@@ -112,6 +112,9 @@ class Engine:
     name = "base"
     attention_kind = AttentionKind.DENSE
     precision = "fp32"
+    #: whether a plan of this engine may set ``use_bias``; where none can,
+    #: no model reads the SPD buckets and the trainers skip the S × S BFS
+    plans_bias = True
 
     def __init__(self, num_layers: int = 4):
         self.num_layers = num_layers
@@ -192,6 +195,7 @@ class GPFlashEngine(Engine):
     name = "gp-flash"
     attention_kind = AttentionKind.FLASH
     precision = "bf16"
+    plans_bias = False
 
     def __init__(self, num_layers: int = 4, precision: str = "bf16"):
         super().__init__(num_layers)

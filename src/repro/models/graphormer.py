@@ -64,6 +64,7 @@ class Graphormer(Module):
     #: structure enters through degrees and SPD only, so the trainers skip
     #: the Laplacian eigensolve for this model
     reads_lap_pe = False
+    reads_spd = True
 
     def __init__(self, config: GraphormerConfig, seed: int = 0):
         super().__init__()

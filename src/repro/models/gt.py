@@ -59,6 +59,9 @@ class GT(Module):
         out_dim = 1 if c.task == "regression" else c.num_classes
         self.head = Linear(c.hidden_dim, out_dim, rng=rng)
 
+    #: attention runs without a bias, so the trainers skip the SPD matrix
+    reads_spd = False
+
     @property
     def reads_lap_pe(self) -> bool:
         """Whether :meth:`encode` reads ``enc.lap_pe`` (else it is not computed)."""

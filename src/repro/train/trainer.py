@@ -105,14 +105,17 @@ def prepare_inputs(engine: Engine, model, g: CSRGraph, lap_pe_dim: int,
 
     ``train`` picks ``prepare_graph`` (may advance tuner state) or the stateless
     ``prepare_inference``; ``ctx.preprocess_seconds`` gains the encoding time.
-    The Laplacian eigensolve runs only for a ``model`` that reads
-    ``enc.lap_pe``: one whose ``reads_lap_pe`` is true or absent.
+    Each encoding is computed only where it is read: the Laplacian
+    eigensolve for a ``model`` whose ``reads_lap_pe`` is true or absent,
+    the SPD matrix for one whose ``reads_spd`` is true or absent, under
+    an engine whose plans may carry a bias (``engine.plans_bias``).
     """
     ctx = engine.prepare_graph(g) if train else engine.prepare_inference(g)
     if not getattr(model, "reads_lap_pe", True):
         lap_pe_dim = 0
+    with_spd = engine.plans_bias and getattr(model, "reads_spd", True)
     t0 = time.perf_counter()
-    enc = compute_encodings(ctx.graph, lap_pe_dim=lap_pe_dim)
+    enc = compute_encodings(ctx.graph, lap_pe_dim=lap_pe_dim, with_spd=with_spd)
     ctx.preprocess_seconds += time.perf_counter() - t0
     return ctx, enc
 

@@ -3,11 +3,15 @@
 copies it replaced, and the encoding time lands in ``preprocess_seconds``
 on the predict path too."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from benchmarks.e2e.inputs import SMOKE, bridged_dataset, run_config
 from repro.api import Session
+from repro.models import encodings
+from repro.train import trainer
 from repro.models import build_model
 from repro.models.encodings import compute_encodings
 from repro.tensor import no_grad, precision_scope
@@ -107,3 +111,42 @@ def test_only_a_model_that_reads_the_laplacian_pays_for_it(model, overrides,
     _, enc = prepare_inputs(s.engine, m, ds.graph, s.config.train.lap_pe_dim,
                             train=False)
     assert (enc.lap_pe is not None) is reads
+
+
+@pytest.mark.parametrize("engine, model, reads", [
+    ("gp-flash", "graphormer-slim", False),  # flash plans carry no bias
+    ("gp-raw", "gt", False),                 # GT has no attention bias
+    ("torchgt", "graphormer-slim", True),
+    ("gp-raw", "graphormer-slim", True),
+])
+def test_spd_is_computed_only_where_it_is_read(monkeypatch, engine, model, reads):
+    """A fit and a predict run the S × S BFS only for a bias that reads it,
+    and skipping it moves no bit of the losses or logits."""
+    ds, _ = bridged_dataset(SMOKE)
+    config = run_config(SMOKE, engine=engine, epochs=2)
+    config = dataclasses.replace(
+        config, model=dataclasses.replace(config.model, name=model))
+
+    def fit_and_predict():
+        s = Session(config, dataset=ds)
+        record = s.fit()
+        return record.train_loss, s.predict().tobytes()
+
+    spd_calls = []
+    real_spd = encodings.truncated_spd_matrix
+
+    def counting_spd(g, max_dist):
+        spd_calls.append(g.num_nodes)
+        return real_spd(g, max_dist)
+
+    monkeypatch.setattr(encodings, "truncated_spd_matrix", counting_spd)
+    got = fit_and_predict()
+    assert bool(spd_calls) is reads
+    if reads:
+        return
+    real_encodings = trainer.compute_encodings
+    monkeypatch.setattr(trainer, "compute_encodings",
+                        lambda g, **kw: real_encodings(g, **{**kw, "with_spd": True}))
+    want = fit_and_predict()
+    assert spd_calls  # the forced run did compute it
+    assert got == want

@@ -179,6 +179,8 @@ class TestStatsInstrumentation:
         assert st.irregular_bytes > 0
 
     def test_flash_regular_memory_linear(self, rng):
+        # the collector's byte model; test_flash_arena.py measures the
+        # kernel's own allocations with tracemalloc
         collector.clear()
         q, k, v = make_qkv(rng, requires_grad=False)
         flash_attention(q, k, v)

@@ -234,3 +234,45 @@ def sparse_attention_csr_per_head(q, k, v, g, indptr, cols, bias=None):
             per_head(ds, q, k.dtype, transpose=True, mul=scale),
             per_head(p, g, v.dtype, transpose=True),
             dbias)
+
+
+def flash_attention_tiled_reference(q, k, v, g, tile_size=128):
+    """GP-Flash forward and backward with fresh per-tile temporaries.
+
+    ``repro.attention.flash`` as it was before its temporaries moved into
+    the scratch arena: every tile allocates its scores, probabilities and
+    products, and numpy casts the mixed float32/float64 operands.  Frozen
+    as the bit-for-bit reference.  Returns ``(out, m, safe_l, dq, dk, dv)``
+    for the output gradient ``g``: the float64 output and row statistics,
+    then gradients in the input dtypes, built as the autograd op builds
+    them (dQ summed over tiles, dK and dV added tile by tile into zeros).
+    """
+    H, S, dh = q.shape
+    scale = 1.0 / float(np.sqrt(dh))
+    out = np.zeros_like(q)
+    m = np.full((H, S), -np.inf)
+    l = np.zeros((H, S))
+    for j0 in range(0, S, tile_size):
+        j1 = min(j0 + tile_size, S)
+        s_tile = np.matmul(q, k[:, j0:j1].swapaxes(-1, -2)) * scale
+        m_new = np.maximum(m, s_tile.max(axis=-1))
+        correction = np.exp(m - m_new)
+        p = np.exp(s_tile - m_new[:, :, None])
+        l = l * correction + p.sum(axis=-1)
+        out = out * correction[:, :, None] + np.matmul(p, v[:, j0:j1])
+        m = m_new
+    safe_l = np.maximum(l, 1e-30)
+    out = out / safe_l[:, :, None]
+
+    delta = np.einsum("hid,hid->hi", g, out)
+    dq, dk, dv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
+    for j0 in range(0, S, tile_size):
+        j1 = min(j0 + tile_size, S)
+        s_tile = np.matmul(q, k[:, j0:j1].swapaxes(-1, -2)) * scale
+        p = np.exp(s_tile - m[:, :, None]) / safe_l[:, :, None]
+        dp = np.matmul(g, v[:, j0:j1].swapaxes(-1, -2))
+        ds = p * (dp - delta[:, :, None])
+        dv[:, j0:j1] += np.matmul(p.swapaxes(-1, -2), g)
+        dk[:, j0:j1] += np.matmul(ds.swapaxes(-1, -2), q) * scale
+        dq += np.matmul(ds, k[:, j0:j1]) * scale
+    return out, m, safe_l, dq, dk, dv
